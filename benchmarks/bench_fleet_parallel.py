@@ -3,9 +3,9 @@
 A 12-chip characterization fleet (4 chips per vendor, seeds from the
 SHA-256 ladder) is run three ways:
 
-* **reference** - the original per-cell loops, serial (the seed
-  repository's execution path, kept executable behind the
-  reference-kernel switch);
+* **reference** - the serial engine on the dense per-cell substrate
+  oracle (``tests.oracle.oracle_substrate``), the seed repository's
+  substrate loops;
 * **jobs=1** - the optimized engine (vectorized bank verification,
   memoized schedules/batteries), serial;
 * **jobs=4** - the optimized engine fanned over 4 worker processes.
@@ -22,8 +22,8 @@ import time
 import pytest
 
 from repro.analysis import format_table
-from repro.runtime import (CampaignSpec, chip_seed, reference_kernels,
-                           run_fleet)
+from repro.runtime import CampaignSpec, chip_seed, run_fleet
+from tests.oracle import oracle_substrate
 
 from ._report import report
 
@@ -46,7 +46,7 @@ def test_fleet_parallel_speedup(benchmark):
     specs = _fleet_specs()
 
     t0 = time.perf_counter()
-    with reference_kernels():
+    with oracle_substrate():
         ref = run_fleet(specs, jobs=1)
     t_ref = time.perf_counter() - t0
 
@@ -71,7 +71,7 @@ def test_fleet_parallel_speedup(benchmark):
     speedup_engine = t_ref / t_serial
     speedup_total = t_ref / t_parallel
     rows = [
-        ["reference kernels, serial", f"{t_ref:.2f} s", "1.00x"],
+        ["dense oracle, serial", f"{t_ref:.2f} s", "1.00x"],
         ["optimized, jobs=1", f"{t_serial:.2f} s",
          f"{speedup_engine:.2f}x"],
         ["optimized, jobs=4", f"{t_parallel:.2f} s",

@@ -1,12 +1,12 @@
-"""Packed-kernel speedup: reference loops vs word-wise kernels.
+"""Packed-kernel speedup: the dense oracle vs word-wise kernels.
 
 The bit-packed substrate (docs/KERNELS.md) exists for one reason:
 every figure's campaign runs through the write -> decay -> read hot
-path.  This bench times the same single-process campaigns under
-:func:`repro.runtime.reference_kernels` and under the packed kernels,
-reports the ratios, and enforces the floor CI gates on: the fig11
-recursion campaign must be at least 5x faster packed (the target,
-usually met on an idle machine, is 10x).
+path.  This bench times the same single-process campaigns on the
+dense per-cell substrate oracle (``tests.oracle.oracle_substrate``)
+and on the packed kernels, reports the ratios, and enforces the floor
+CI gates on: the fig11 recursion campaign must be at least 5x faster
+packed (the target, usually met on an idle machine, is 10x).
 
 The fig12 module comparison is also reported for honesty: it is
 bounded by equal-budget *random-pattern generation* (drawing ~100 M
@@ -18,7 +18,7 @@ import time
 
 from repro.analysis import recursion_for_vendor
 from repro.analysis.experiments import compare_module, make_module
-from repro.runtime import reference_kernels
+from tests.oracle import oracle_substrate
 
 from ._report import report
 
@@ -48,32 +48,32 @@ def test_fig11_packed_speedup_floor(benchmark):
     _fig11_campaign()  # warm mapping/pattern caches out of the timing
     packed = benchmark.pedantic(lambda: _best_of(_fig11_campaign),
                                 rounds=1, iterations=1)
-    with reference_kernels():
+    with oracle_substrate():
         ref = _best_of(_fig11_campaign, repeats=2)
     ratio = ref / packed
     report("packed_speedup_fig11",
            f"fig11 vendor-A campaign (n_rows=128, sample=2000), "
            f"single process\n"
-           f"  reference kernels : {ref:8.3f} s\n"
+           f"  dense oracle      : {ref:8.3f} s\n"
            f"  packed kernels    : {packed:8.3f} s\n"
            f"  speedup           : {ratio:8.1f} x  "
            f"(floor {SPEEDUP_FLOOR:.0f}x, target {SPEEDUP_TARGET:.0f}x)")
     assert ratio >= SPEEDUP_FLOOR, (
         f"packed fig11 campaign only {ratio:.1f}x faster than the "
-        f"reference kernels (floor {SPEEDUP_FLOOR}x)")
+        f"dense oracle (floor {SPEEDUP_FLOOR}x)")
 
 
 def test_fig12_module_comparison_reported(benchmark):
     packed = benchmark.pedantic(lambda: _best_of(_fig12_campaign,
                                                  repeats=1),
                                 rounds=1, iterations=1)
-    with reference_kernels():
+    with oracle_substrate():
         ref = _best_of(_fig12_campaign, repeats=1)
     ratio = ref / packed
     report("packed_speedup_fig12",
            f"fig12 module comparison (PARBOR + equal-budget random), "
            f"single process\n"
-           f"  reference kernels : {ref:8.3f} s\n"
+           f"  dense oracle      : {ref:8.3f} s\n"
            f"  packed kernels    : {packed:8.3f} s\n"
            f"  speedup           : {ratio:8.1f} x\n"
            f"  note: bounded by random-pattern generation, which is\n"

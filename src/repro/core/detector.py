@@ -21,7 +21,6 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from .. import obs
-from .._kernels import reference_kernels_enabled
 from ..dram.chip import DramChip
 from ..dram.controller import MemoryController, TestStats
 from ..dram.module import DramModule
@@ -30,7 +29,8 @@ from .patterns import inverse
 from .recursion import RecursionResult, recursive_neighbour_search
 from .remap_recovery import RecoveryResult, recover_irregular_victims
 from .scheduler import TestSchedule, build_schedule
-from .victims import VictimSample, find_initial_victims
+from .victims import (VictimSample, _failure_histogram,
+                      find_initial_victims)
 
 __all__ = ["ParborResult", "run_parbor", "neighbour_aware_sweep",
            "controllers_for"]
@@ -111,43 +111,10 @@ def neighbour_aware_sweep(controllers: Sequence[MemoryController],
     Returns the union of failing coordinates - PARBOR's detected
     data-dependent failures.
     """
-    if reference_kernels_enabled():
-        detected: Set[Coord] = set()
-        for pattern in schedule.patterns:
-            for polarity in (pattern, inverse(pattern)):
-                for chip_idx, ctrl in enumerate(controllers):
-                    per_bank = ctrl.test_pattern(polarity)
-                    for bank_idx, (rows, cols) in enumerate(per_bank):
-                        detected.update(
-                            (chip_idx, bank_idx, int(r), int(c))
-                            for r, c in zip(rows.tolist(), cols.tolist()))
-        return detected
-
-    # Batched verification: collect every round's failure coordinates
-    # as integer-encoded arrays and deduplicate once at the end,
-    # instead of growing a Python set tuple by tuple.
-    n_rows = max(c.n_rows for c in controllers)
-    n_banks = max(c.n_banks for c in controllers)
-    row_bits = controllers[0].row_bits
-    chunks: List[np.ndarray] = []
-    for pattern in schedule.patterns:
-        for polarity in (pattern, inverse(pattern)):
-            for chip_idx, ctrl in enumerate(controllers):
-                per_bank = ctrl.test_pattern(polarity)
-                for bank_idx, (rows, cols) in enumerate(per_bank):
-                    enc = (((np.int64(chip_idx) * n_banks + bank_idx)
-                            * n_rows + rows.astype(np.int64))
-                           * row_bits + cols.astype(np.int64))
-                    chunks.append(enc)
-    if not chunks:
-        return set()
-    uniq = np.unique(np.concatenate(chunks))
-    cols_d = uniq % row_bits
-    rest = uniq // row_bits
-    rows_d = rest % n_rows
-    rest //= n_rows
-    return set(zip((rest // n_banks).tolist(), (rest % n_banks).tolist(),
-                   rows_d.tolist(), cols_d.tolist()))
+    coords, _counts = _failure_histogram(
+        controllers, (polarity for pattern in schedule.patterns
+                      for polarity in (pattern, inverse(pattern))))
+    return set(coords)
 
 
 def run_parbor(target: Union[DramModule, DramChip, Sequence[DramChip]],

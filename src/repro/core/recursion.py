@@ -28,7 +28,6 @@ from typing import Dict, List, Sequence, Set, Tuple
 import numpy as np
 
 from .. import obs
-from .._kernels import reference_kernels_enabled
 from ..dram.controller import MemoryController
 from .config import ParborConfig
 from .ranking import RankingOutcome, rank_distances
@@ -137,9 +136,7 @@ def _run_region_test(controllers: Sequence[MemoryController],
             tested rows (a large saving when re-voting a handful of
             victims).
     """
-    row_bits = controllers[0].row_bits
     failed = np.zeros(len(sample), dtype=bool)
-    reference = reference_kernels_enabled()
     for (chip_idx, bank_idx), group in groups.items():
         vi = group.victim_idx
         use = covered[vi]
@@ -149,31 +146,12 @@ def _run_region_test(controllers: Sequence[MemoryController],
         starts = sub_abs[vi[use]] * region_size
         rows_of = group.row_pos[use]
 
-        if reference:
-            data = np.ones((len(group.unique_rows), row_bits),
-                           dtype=np.uint8)
-            # Zero every covered victim's subregion in its own row.
-            for r, s in zip(rows_of.tolist(), starts.tolist()):
-                data[r, s:s + region_size] = 0
-            # Victim bits carry the opposite value of their region.
-            data[group.row_pos, group.cols] = 1
-
-            observed = ctrl.test_rows(bank_idx, group.unique_rows, data,
-                                      coupled_rows_only=revote)
-            flip_pos = observed[group.row_pos, group.cols] != 1
-            observed_inv = ctrl.test_rows(bank_idx, group.unique_rows,
-                                          1 - data,
-                                          coupled_rows_only=revote)
-            flip_inv = observed_inv[group.row_pos, group.cols] != 0
-            failed[vi] |= (flip_pos | flip_inv) & use[...]
-            continue
-
-        # Vectorized path: express the test as background + patches
-        # (zeroed subregions, victim bits) and verify only the victim
-        # cells against the sparse retention flips - no whole-row
-        # scrambling or read-back materialisation.  A flip mask is
-        # "read != written" for both polarities, which is exactly what
-        # the dense comparisons above compute.
+        # Express the test as background + patches (every covered
+        # victim's subregion zeroed in its own row, victim bits at the
+        # opposite value) and verify only the victim cells against the
+        # sparse retention flips - no whole-row scrambling or read-back
+        # materialisation.  A flip mask is "read != written", for both
+        # polarities.
         flip_pos = ctrl.test_rows_patched(
             bank_idx, group.unique_rows, base=1,
             spans=(rows_of, starts, region_size, 0),

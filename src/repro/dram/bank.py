@@ -12,11 +12,12 @@ cell data inversion.
 
 **Equivalence invariant.** Packing is representation only: the
 :attr:`~Bank.charge` property unpacks to exactly the dense uint8 array
-the bank historically stored, and every operation - reference kernels
-(:func:`repro._kernels.reference_kernels`) or packed kernels - leaves
-``unpack(charge_words)`` in the same state and consumes the bank RNG
-identically.  ``tests/runtime/test_kernel_differential.py`` and
-``tests/runtime/test_packed_kernels.py`` enforce this differentially.
+the bank historically stored, and every operation leaves
+``unpack(charge_words)`` in the same state, and consumes the bank RNG
+identically, as the straight-line per-cell oracle in
+``tests/oracle.py``.  ``tests/runtime/test_kernel_differential.py``
+and ``tests/runtime/test_packed_kernels.py`` enforce this
+differentially.
 
 True vs. anti cells: a *true* cell stores data '1' as charge, an *anti*
 cell stores data '0' as charge (paper footnote 3). We model polarity
@@ -31,9 +32,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .._kernels import (clear_rows_masks, gather_bits, or_rows_masks,
-                        pack_rows, packed_words, reference_kernels_enabled,
-                        scatter_assign_bits, scatter_flip_bits,
-                        scatter_span_masks, tail_mask, unpack_rows)
+                        pack_rows, packed_words, scatter_assign_bits,
+                        scatter_flip_bits, scatter_span_masks, tail_mask,
+                        unpack_rows)
 from .cells import CoupledCellPopulation
 from .faults import RandomFaultModel
 from .mapping import AddressMapping
@@ -101,8 +102,8 @@ class Bank:
 
         Unpacked view of :attr:`charge_words` (a fresh array, not a
         live view - mutations do not write back).  This is the array
-        the bank historically stored; the reference kernels and
-        external inspectors still consume it.
+        the bank historically stored; the test-side oracle and
+        external inspectors consume it.
         """
         return unpack_rows(self.charge_words, self.row_bits)
 
@@ -129,7 +130,7 @@ class Bank:
         """Write several rows at once (vectorised)."""
         rows = np.asarray(rows)
         data_sys = np.asarray(data_sys, dtype=np.uint8)
-        if data_sys.ndim == 1 and not reference_kernels_enabled():
+        if data_sys.ndim == 1:
             # Broadcast write: scramble + pack the single row once
             # (memoized on the shared vendor mapping, both polarities),
             # then one np.where selects the per-row polarity - the
@@ -139,8 +140,6 @@ class Bank:
             self.charge_words[rows] = np.where(anti[:, None], inverted,
                                                plain)
             return
-        if data_sys.ndim == 1:
-            data_sys = np.broadcast_to(data_sys, (len(rows), self.row_bits))
         self.charge_words[rows] = pack_rows(self._to_charge(rows, data_sys))
 
     def write_rows_patched(self, rows: np.ndarray, base: int,
@@ -169,21 +168,6 @@ class Bank:
         """
         rows = np.asarray(rows)
         n = len(rows)
-        if reference_kernels_enabled():
-            # Reference: materialise the dense system-order data and
-            # write it wholesale - the executable specification the
-            # packed path below must match bit for bit.
-            data = np.full((n, self.row_bits), base, dtype=np.uint8)
-            if spans is not None:
-                row_idx, starts, size, value = spans
-                for r, s in zip(row_idx.tolist(), starts.tolist()):
-                    data[r, s:s + size] = value
-            if points is not None:
-                row_idx, cols, value = points
-                data[row_idx, cols] = value
-            self.charge_words[rows] = pack_rows(self._to_charge(rows, data))
-            return
-
         anti = self.anti_rows[rows]
         # Background fill in charge domain: base XOR polarity per row.
         fill = (np.uint8(base) ^ anti.astype(np.uint8)).astype(bool)
@@ -249,17 +233,10 @@ class Bank:
         coupled = self.coupled
         if visible_rows is not None:
             coupled = coupled.subset(np.isin(coupled.row, visible_rows))
-        if reference_kernels_enabled():
-            charge = self.charge  # unpack once, share across evaluators
-            fail = coupled.evaluate_failures(charge, self._rng,
-                                             stress=self.stress)
-            f_rows, f_phys = self.faults.retention_flips(
-                charge, stress=self.stress)
-        else:
-            fail = coupled.evaluate_failures_packed(
-                self.charge_words, self._rng, stress=self.stress)
-            f_rows, f_phys = self.faults.retention_flips_packed(
-                self.charge_words, stress=self.stress)
+        fail = coupled.evaluate_failures(self.charge_words, self._rng,
+                                         stress=self.stress)
+        f_rows, f_phys = self.faults.retention_flips(self.charge_words,
+                                                     stress=self.stress)
         rows = coupled.row[fail]
         phys = coupled.phys[fail]
         rows = np.concatenate([rows, f_rows])
@@ -340,35 +317,9 @@ class Bank:
         rows = np.asarray(rows)
         f_rows, f_cols, n_rows_, n_cols = self._observed_errors(
             visible_rows=rows if coupled_rows_only else None)
-        if reference_kernels_enabled():
-            data_phys = self.charge[rows] ^ self.anti_rows[
-                rows, None].astype(np.uint8)
-            data_sys = data_phys[:, self.mapping.sys_to_phys()]
-            noise_idx = noise_cols = noise_written = None
-            if len(n_rows_):
-                # Forced corruption: capture the written values now so
-                # the injected cells read back wrong regardless of how
-                # many flip events also landed on them (union, not XOR).
-                pos = np.full(self.n_rows, -1, dtype=np.int64)
-                pos[rows] = np.arange(len(rows), dtype=np.int64)
-                ni = pos[n_rows_]
-                vis = ni >= 0
-                noise_idx = ni[vis]
-                noise_cols = n_cols[vis]
-                noise_written = data_sys[noise_idx, noise_cols].copy()
-            row_pos = {int(r): i for i, r in enumerate(rows)}
-            for r, c in zip(f_rows, f_cols):
-                i = row_pos.get(int(r))
-                if i is not None:
-                    data_sys[i, c] ^= 1
-            if noise_idx is not None and len(noise_idx):
-                data_sys[noise_idx, noise_cols] = (noise_written
-                                                   ^ np.uint8(1))
-            return data_sys
-
-        # Packed path: stay word-wise until the final unpack.  Flips
-        # and noise arrive in system columns; apply them at the
-        # corresponding physical bits, then unpack and descramble.
+        # Stay word-wise until the final unpack.  Flips and noise
+        # arrive in system columns; apply them at the corresponding
+        # physical bits, then unpack and descramble.
         s2p = self.mapping.sys_to_phys()
         words = self.charge_words[rows].copy()
         anti = self.anti_rows[rows]

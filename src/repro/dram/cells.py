@@ -296,55 +296,6 @@ class CoupledCellPopulation:
 
     # ------------------------------------------------------------------
 
-    def evaluate_failures(self, charge: np.ndarray,
-                          rng: np.random.Generator,
-                          stress: float = 1.0) -> np.ndarray:
-        """Which victims flip on a retention read of the given bank state.
-
-        Args:
-            charge: 2-D uint8 array ``(n_rows, row_bits)`` of cell
-                *charge* states in physical order (1 = charged).
-            rng: randomness source for the per-exposure coin flips.
-            stress: retention stress of the read (1.0 = the paper's
-                45 degC / 4 s test condition); victims whose
-                ``min_stress`` exceeds it hold enough charge to ride
-                out the interference.
-
-        Returns:
-            Boolean mask over the population: True where the victim's
-            stored value is corrupted by this read.
-        """
-        v = charge[self.row, self.phys]
-        left_ok = self.left_phys != NO_NEIGHBOUR
-        right_ok = self.right_phys != NO_NEIGHBOUR
-        l_charge = np.ones(len(self), dtype=np.uint8)
-        r_charge = np.ones(len(self), dtype=np.uint8)
-        l_charge[left_ok] = charge[self.row[left_ok],
-                                   self.left_phys[left_ok]]
-        r_charge[right_ok] = charge[self.row[right_ok],
-                                    self.right_phys[right_ok]]
-
-        interference = (self.w_left * ((v == 1) & (l_charge == 0))
-                        + self.w_right * ((v == 1) & (r_charge == 0)))
-        candidate = interference >= 1.0
-
-        # Context condition: every present context cell must hold the
-        # victim's charge (no shielding of the victim bitline).
-        ctx_ok = np.ones(len(self), dtype=bool)
-        for j in range(self.context.shape[1]):
-            pos = self.context[:, j]
-            present = pos != NO_NEIGHBOUR
-            if not present.any():
-                continue
-            same = np.ones(len(self), dtype=bool)
-            same[present] = (charge[self.row[present], pos[present]]
-                             == v[present])
-            ctx_ok &= same
-
-        exposed = (candidate & ctx_ok & (self.min_stress <= stress)
-                   & (rng.random(len(self)) < self.p_fail))
-        return exposed
-
     def _packed_plan(self, n_words: int):
         """Flat word indices + shifts of every cell the evaluation reads.
 
@@ -374,16 +325,29 @@ class CoupledCellPopulation:
             self._packed_plans[n_words] = plan
         return plan
 
-    def evaluate_failures_packed(self, charge_words: np.ndarray,
-                                 rng: np.random.Generator,
-                                 stress: float = 1.0) -> np.ndarray:
-        """Packed-kernel image of :meth:`evaluate_failures`.
+    def evaluate_failures(self, charge_words: np.ndarray,
+                          rng: np.random.Generator,
+                          stress: float = 1.0) -> np.ndarray:
+        """Which victims flip on a retention read of the given bank state.
 
-        Reads the bank state bit-packed (``(n_rows, n_words)`` uint64,
-        see :mod:`repro._kernels`) with a single flat gather instead of
-        per-column dense indexing.  Decision logic and RNG consumption
-        (one ``rng.random(len(self))`` draw) are identical to the
-        reference, so both produce the same mask on the same stream.
+        Reads the bank state bit-packed (see :mod:`repro._kernels`) with
+        a single flat gather over the cached :meth:`_packed_plan`.  The
+        per-cell formulation it must match bit for bit, RNG draw
+        included, is the test-side oracle in ``tests/oracle.py``.
+
+        Args:
+            charge_words: ``(n_rows, n_words)`` uint64 packed cell
+                *charge* states in physical order (1 = charged).
+            rng: randomness source for the per-exposure coin flips;
+                exactly one ``rng.random(len(self))`` draw per call.
+            stress: retention stress of the read (1.0 = the paper's
+                45 degC / 4 s test condition); victims whose
+                ``min_stress`` exceeds it hold enough charge to ride
+                out the interference.
+
+        Returns:
+            Boolean mask over the population: True where the victim's
+            stored value is corrupted by this read.
         """
         idx, shifts, no_left, no_right, ctx_present = self._packed_plan(
             charge_words.shape[1])

@@ -7,16 +7,16 @@ charge across a refresh interval. These populations are what make the
 ranking/filtering stage non-trivial, and they produce the infrequent
 noise distances in Figures 14-15.
 
-All injectors act on a bank's *charge* array at retention-read time and
-return flip coordinates; they are polarity-symmetric except where the
-underlying physics is not (VRT/marginal cells lose charge, so only
-charged cells fail).
+All injectors act on a bank's bit-packed *charge* state at
+retention-read time and return flip coordinates; they are
+polarity-symmetric except where the underlying physics is not
+(VRT/marginal cells lose charge, so only charged cells fail).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -140,12 +140,18 @@ class RandomFaultModel:
         self.weak_threshold = np.exp(rng.uniform(np.log(lo), np.log(hi),
                                                  size=spec.n_weak_cells))
 
-    def retention_flips(self, charge: np.ndarray, stress: float = 1.0
+    def retention_flips(self, charge_words: np.ndarray,
+                        stress: float = 1.0
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """Random flips for one retention read of the whole bank.
 
+        Every RNG draw is charge-independent (counts depend only on
+        population sizes and the Poisson draw), so the bank stream
+        advances the same way whatever data the bank holds.
+
         Args:
-            charge: ``(n_rows, row_bits)`` physical-order charge array.
+            charge_words: ``(n_rows, n_words)`` bit-packed physical-order
+                charge state (see :mod:`repro._kernels`).
             stress: retention stress of the read (temperature and
                 interval, 1.0 = the test condition); gates the weak
                 cell population.
@@ -154,33 +160,14 @@ class RandomFaultModel:
             ``(rows, cols)`` coordinate arrays of cells whose read-out
             is corrupted.
         """
-        return self._flips(lambda rows, phys: charge[rows, phys], stress)
-
-    def retention_flips_packed(self, charge_words: np.ndarray,
-                               stress: float = 1.0
-                               ) -> Tuple[np.ndarray, np.ndarray]:
-        """Packed-kernel image of :meth:`retention_flips`.
-
-        Reads cell charge from the bit-packed bank state (see
-        :mod:`repro._kernels`).  Every RNG draw is charge-independent
-        (counts depend only on population sizes and the Poisson draw),
-        so the stream advances identically to the reference.
-        """
-        return self._flips(
-            lambda rows, phys: gather_bits(charge_words, rows, phys),
-            stress)
-
-    def _flips(self, charged: Callable[[np.ndarray, np.ndarray],
-                                       np.ndarray],
-               stress: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Shared injector logic; ``charged(rows, phys)`` reads cells."""
         rng = self._rng
         rows_list = []
         cols_list = []
 
         if len(self.weak_row):
             hit = ((self.weak_threshold <= stress)
-                   & (charged(self.weak_row, self.weak_phys) == 1))
+                   & (gather_bits(charge_words, self.weak_row,
+                                  self.weak_phys) == 1))
             rows_list.append(self.weak_row[hit])
             cols_list.append(self.weak_phys[hit])
 
@@ -200,7 +187,8 @@ class RandomFaultModel:
             toggle = rng.random(len(self.vrt_row)) < self.spec.vrt_toggle_prob
             self.vrt_leaky = self.vrt_leaky ^ toggle
             hit = (self.vrt_leaky & (self.vrt_threshold <= stress)
-                   & (charged(self.vrt_row, self.vrt_phys) == 1))
+                   & (gather_bits(charge_words, self.vrt_row,
+                                  self.vrt_phys) == 1))
             rows_list.append(self.vrt_row[hit])
             cols_list.append(self.vrt_phys[hit])
 
@@ -208,7 +196,8 @@ class RandomFaultModel:
             coin = rng.random(len(self.marginal_row))
             hit = ((coin < self.spec.marginal_fail_prob)
                    & (self.marginal_threshold <= stress)
-                   & (charged(self.marginal_row, self.marginal_phys) == 1))
+                   & (gather_bits(charge_words, self.marginal_row,
+                                  self.marginal_phys) == 1))
             rows_list.append(self.marginal_row[hit])
             cols_list.append(self.marginal_phys[hit])
 

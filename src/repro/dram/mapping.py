@@ -284,7 +284,6 @@ class AddressMapping:
         sys_to_phys[phys_to_sys] = np.arange(self.row_bits, dtype=np.int64)
         object.__setattr__(self, "_phys_to_sys", phys_to_sys)
         object.__setattr__(self, "_sys_to_phys", sys_to_phys)
-        object.__setattr__(self, "_scramble_cache", {})
         # Packed-kernel lookup tables: system column s lives in word
         # _s2p_word[s], bit mask _s2p_mask[s] of a packed physical row
         # (see docs/KERNELS.md).
@@ -323,26 +322,6 @@ class AddressMapping:
         """Reorder a physical-order row into system order."""
         return row_phys[self._sys_to_phys]
 
-    def scramble_cached(self, row_sys: np.ndarray) -> np.ndarray:
-        """Memoized :meth:`scramble` for repeated row patterns.
-
-        Chips of one vendor share their (lru-cached) mapping instance,
-        so the neighbour-aware sweep and the discovery battery scramble
-        each distinct pattern once per process instead of once per
-        chip x round.  The returned array is read-only; callers must
-        copy before mutating.  The cache is bounded so one-shot random
-        backgrounds cannot grow it without limit.
-        """
-        key = row_sys.tobytes()
-        cached = self._scramble_cache.get(key)
-        if cached is None:
-            if len(self._scramble_cache) >= 256:
-                self._scramble_cache.clear()
-            cached = row_sys[self._phys_to_sys]
-            cached.flags.writeable = False
-            self._scramble_cache[key] = cached
-        return cached
-
     # -- packed (word-wise) views -----------------------------------------
 
     def s2p_word(self) -> np.ndarray:
@@ -363,7 +342,8 @@ class AddressMapping:
         both polarities lets the broadcast write pick the right one per
         row (true vs anti cells) with a single ``np.where`` instead of
         an outer XOR that would dirty the tail.  Both arrays are
-        read-only; the cache is bounded like :meth:`scramble_cached`.
+        read-only.  The cache is bounded (cleared at 256 patterns) so
+        one-shot random backgrounds cannot grow it without limit.
         """
         key = row_sys.tobytes()
         cached = self._packed_cache.get(key)

@@ -10,10 +10,7 @@ the engine that makes such fleet campaigns cheap in the simulator:
   rebuild their chip/module inside any process;
 * :mod:`repro.runtime.fleet` - :func:`run_fleet`, fanning specs over
   a ``ProcessPoolExecutor`` with crash recovery, returning outcomes
-  byte-identical to the serial path for every ``jobs`` setting;
-* :mod:`repro.runtime.compat` - the reference-kernel switch that keeps
-  the original per-cell loops executable as the specification the
-  optimized engine is differentially tested against.
+  byte-identical to the serial path for every ``jobs`` setting.
 """
 
 from .chaos import (ChaosError, ChaosSpec, NoisySpec,
@@ -21,8 +18,6 @@ from .chaos import (ChaosError, ChaosSpec, NoisySpec,
                     chaos_schedule, corrupt_queue_record,
                     device_noise_schedule, service_chaos_plan,
                     wrap_spec)
-from .compat import (reference_kernels, reference_kernels_enabled,
-                     use_reference_kernels)
 from .fleet import FleetExecutionError, FleetResult, run_fleet
 from .resilience import (CheckpointJournal, CheckpointMismatch,
                          TargetError, TargetTimeout, backoff_delay,
@@ -39,6 +34,4 @@ __all__ = [
     "apply_service_fault", "chaos_schedule", "corrupt_queue_record",
     "device_noise_schedule", "service_chaos_plan", "wrap_spec",
     "ladder_seed", "chip_seed", "module_seed", "seed_ladder",
-    "reference_kernels", "reference_kernels_enabled",
-    "use_reference_kernels",
 ]

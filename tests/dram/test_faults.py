@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._kernels import pack_rows
 from repro.dram import FaultSpec, RandomFaultModel
 
 
@@ -13,7 +14,8 @@ def make_model(seed=0, **kwargs):
 
 
 def charged(n_rows=64, row_bits=1024):
-    return np.ones((n_rows, row_bits), dtype=np.uint8)
+    """Every cell charged, bit-packed (the bank's storage form)."""
+    return pack_rows(np.ones((n_rows, row_bits), dtype=np.uint8))
 
 
 class TestSoftErrors:
@@ -46,7 +48,7 @@ class TestVrt:
         model = make_model(soft_error_rate=0.0, n_vrt_cells=20,
                            vrt_toggle_prob=0.0,
                            vrt_leaky_start_fraction=1.0)
-        empty = np.zeros((64, 1024), dtype=np.uint8)
+        empty = pack_rows(np.zeros((64, 1024), dtype=np.uint8))
         rows, _cols = model.retention_flips(empty)
         assert len(rows) == 0
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import ParborConfig, run_parbor
+from repro._kernels import pack_rows
 from repro.dram import FaultSpec, vendor
 from repro.dram.faults import NoiseSpec, RandomFaultModel
 from repro.robust import RoundsPolicy
@@ -92,7 +93,7 @@ class TestRngConsumption:
         model = RandomFaultModel(spec, n_rows=16, row_bits=64, rng=rng)
         witness = np.random.default_rng(42)
         RandomFaultModel(spec, n_rows=16, row_bits=64, rng=witness)
-        charge = np.ones((16, 64), dtype=np.uint8)
+        charge = pack_rows(np.ones((16, 64), dtype=np.uint8))
         for _ in range(5):
             rows, cols = model.retention_flips(charge)
             assert len(rows) == 0 and len(cols) == 0
@@ -106,7 +107,7 @@ class TestRngConsumption:
         model = RandomFaultModel(spec, n_rows=16, row_bits=64, rng=rng)
         witness = np.random.default_rng(42)
         RandomFaultModel(spec, n_rows=16, row_bits=64, rng=witness)
-        model.retention_flips(np.ones((16, 64), dtype=np.uint8))
+        model.retention_flips(pack_rows(np.ones((16, 64), dtype=np.uint8)))
         assert rng.random() != witness.random()
 
 

@@ -1,11 +1,15 @@
-"""Differential tests: vectorized kernels vs. the reference loops.
+"""Differential tests: the packed engine vs. the dense oracle.
 
-The optimized engine (broadcast writes, patched sparse writes, batched
-retention verification, memoized schedules/batteries) must be
-*bit-identical* to the original per-cell code, which stays executable
-behind :func:`repro.runtime.reference_kernels`.  These tests drive the
-same seeded operations through both paths and require equality of
-charge arrays, read-back data, and full campaign outputs.
+The substrate's hot operations (broadcast writes, patched sparse
+writes, coupled-cell decay, batched retention verification) each have
+one production implementation, which must be *bit-identical* to the
+straight-line per-cell specification in ``tests/oracle.py``.  These
+tests drive the same seeded operations through both and require
+equality of charge arrays, read-back data, and full campaign outputs
+- including the ``profile_signature`` of the detected failures, for
+the legacy single pass and for repeat-and-vote rounds.  The memoized
+schedule and discovery battery are compared with fresh, uncached
+constructions.
 """
 
 import numpy as np
@@ -14,10 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ParborConfig, run_parbor
-from repro.core.patterns import discovery_patterns
-from repro.core.scheduler import build_schedule
-from repro.dram import vendor
-from repro.runtime import reference_kernels
+from repro.core.patterns import (checkerboard, discovery_patterns,
+                                 random_pattern, solid, with_inverses)
+from repro.core.scheduler import _build_schedule, build_schedule
+from repro.dram import Bank, CoupledCellPopulation, vendor
+from repro.robust.integrity import profile_signature
+
+from tests import oracle
 
 
 def _chip(vendor_name="A", seed=5, n_rows=32):
@@ -40,8 +47,7 @@ def test_write_rows_broadcast_matches_reference(seed):
 
     ref = _bank(seed=int(seed) % 97)
     fast = _bank(seed=int(seed) % 97)
-    with reference_kernels():
-        ref.write_rows(rows, data)
+    oracle.write_rows(ref, rows, data)
     fast.write_rows(rows, data)
     assert np.array_equal(ref.charge, fast.charge)
 
@@ -63,6 +69,8 @@ def test_write_rows_patched_matches_dense_write(seed, base, span_size):
     point_rows = rng.integers(0, n, size=n_points)
     point_cols = rng.integers(0, 8192, size=n_points)
     value = 1 - base
+    spans = (span_rows, starts, span_size, value)
+    points = (point_rows, point_cols, base)
 
     expected = np.full((n, 8192), base, dtype=np.uint8)
     for r, s in zip(span_rows.tolist(), starts.tolist()):
@@ -71,11 +79,12 @@ def test_write_rows_patched_matches_dense_write(seed, base, span_size):
 
     dense = _bank(seed=3)
     dense.write_rows(rows, expected)
+    ref = _bank(seed=3)
+    oracle.write_rows_patched(ref, rows, base, spans=spans, points=points)
     patched = _bank(seed=3)
-    patched.write_rows_patched(
-        rows, base, spans=(span_rows, starts, span_size, value),
-        points=(point_rows, point_cols, base))
+    patched.write_rows_patched(rows, base, spans=spans, points=points)
     assert np.array_equal(dense.charge, patched.charge)
+    assert np.array_equal(ref.charge, patched.charge)
 
 
 # -- retention verification ----------------------------------------------
@@ -91,7 +100,7 @@ def test_retention_read_rows_matches_reference(seed):
 
     ref = _bank("B", seed=int(seed) % 89)
     fast = _bank("B", seed=int(seed) % 89)
-    with reference_kernels():
+    with oracle.oracle_substrate():
         ref.write_rows(rows, data)
         ref_read = ref.retention_read_rows(rows)
     fast.write_rows(rows, data)
@@ -111,13 +120,19 @@ def test_retention_check_cells_matches_full_read(seed):
     check_cols = rng.integers(0, 8192, size=n_check)
 
     full = _bank("C", seed=int(seed) % 83)
+    ref = _bank("C", seed=int(seed) % 83)
     sparse = _bank("C", seed=int(seed) % 83)
     full.write_rows(rows, data)
     observed = full.retention_read_rows(rows)
     expected = observed[check_row_idx, check_cols] != data[check_cols]
+    with oracle.oracle_substrate():
+        ref.write_rows(rows, data)
+        ref_got = ref.retention_check_cells(rows, check_row_idx,
+                                            check_cols)
     sparse.write_rows(rows, data)
     got = sparse.retention_check_cells(rows, check_row_idx, check_cols)
     assert np.array_equal(expected, got)
+    assert np.array_equal(ref_got, got)
 
 
 # -- memoized construction ------------------------------------------------
@@ -125,8 +140,8 @@ def test_retention_check_cells_matches_full_read(seed):
 
 def test_memoized_schedule_matches_reference():
     for distances in ([8, -8, 16, -16, 48, -48], [1, -1, 64, -64]):
-        with reference_kernels():
-            ref = build_schedule(8192, distances)
+        signed = tuple(sorted(set(distances), key=lambda d: (abs(d), d)))
+        ref = _build_schedule(8192, signed, "sparse")
         fast = build_schedule(8192, distances)
         assert ref.scheme == fast.scheme
         assert len(ref.patterns) == len(fast.patterns)
@@ -145,8 +160,13 @@ def test_memoized_schedule_is_shared_and_read_only():
 
 
 def test_memoized_battery_matches_reference():
-    with reference_kernels():
-        ref = discovery_patterns(8192, 8, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    ref = list(with_inverses([
+        ("solid0", solid(8192, 0)),
+        ("checker1", checkerboard(8192, period=1)),
+        ("stripe8", checkerboard(8192, period=8)),
+    ]))
+    ref += [(f"rand{i}", random_pattern(8192, rng)) for i in range(2)]
     fast = discovery_patterns(8192, 8, np.random.default_rng(4))
     assert [n for n, _ in ref] == [n for n, _ in fast]
     for (_, a), (_, b) in zip(ref, fast):
@@ -156,16 +176,19 @@ def test_memoized_battery_matches_reference():
 # -- whole campaign -------------------------------------------------------
 
 
-@pytest.mark.parametrize("vendor_name", ["A", "B", "C"])
-def test_campaign_identical_to_reference(vendor_name):
-    cfg = ParborConfig(sample_size=300)
+def test_oracle_substrate_patches_and_restores():
+    engine = (Bank.write_rows, Bank.retention_check_cells,
+              CoupledCellPopulation.evaluate_failures)
+    with oracle.oracle_substrate():
+        assert Bank.write_rows is oracle.write_rows
+        assert Bank.retention_check_cells is oracle.retention_check_cells
+    assert (Bank.write_rows, Bank.retention_check_cells,
+            CoupledCellPopulation.evaluate_failures) == engine
 
-    with reference_kernels():
-        ref = run_parbor(_chip(vendor_name, seed=17, n_rows=32), cfg,
-                         seed=18)
-    fast = run_parbor(_chip(vendor_name, seed=17, n_rows=32), cfg,
-                      seed=18)
 
+def _assert_campaigns_identical(ref, fast):
+    assert profile_signature(ref.detected) == profile_signature(
+        fast.detected)
     assert ref.distances == fast.distances
     assert ref.detected == fast.detected
     assert ref.total_tests == fast.total_tests
@@ -174,3 +197,30 @@ def test_campaign_identical_to_reference(vendor_name):
     assert ref.stats.tests == fast.stats.tests
     assert ref.stats.rows_written == fast.stats.rows_written
     assert ref.stats.rows_read == fast.stats.rows_read
+
+
+@pytest.mark.parametrize("vendor_name", ["A", "B", "C"])
+def test_campaign_identical_to_reference(vendor_name):
+    cfg = ParborConfig(sample_size=300)
+
+    with oracle.oracle_substrate():
+        ref = run_parbor(_chip(vendor_name, seed=17, n_rows=32), cfg,
+                         seed=18)
+    fast = run_parbor(_chip(vendor_name, seed=17, n_rows=32), cfg,
+                      seed=18)
+    _assert_campaigns_identical(ref, fast)
+
+
+@pytest.mark.parametrize("vendor_name", ["A", "B", "C"])
+def test_robust_campaign_identical_to_reference(vendor_name):
+    """Repeat-and-vote rounds re-seed and restore bank streams; the
+    oracle must agree on every verdict and the quarantine too."""
+    cfg = ParborConfig(sample_size=300)
+
+    with oracle.oracle_substrate():
+        ref = run_parbor(_chip(vendor_name, seed=17, n_rows=32), cfg,
+                         seed=18, rounds=4)
+    fast = run_parbor(_chip(vendor_name, seed=17, n_rows=32), cfg,
+                      seed=18, rounds=4)
+    _assert_campaigns_identical(ref, fast)
+    assert ref.quarantine.signature() == fast.quarantine.signature()

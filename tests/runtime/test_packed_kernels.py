@@ -3,9 +3,10 @@
 The packed kernels in :mod:`repro._kernels` must be the word-wise
 image of the dense per-cell operations for *any* geometry - including
 row widths that do not divide into whole 64-bit words - and the packed
-bank must match :func:`repro.runtime.reference_kernels` on random bank
-states under every vendor mapping.  The layout contract these tests
-pin down is documented in ``docs/KERNELS.md``.
+bank must match the dense per-cell oracle (``tests/oracle.py``) on
+random bank states under random scramblers and every vendor mapping.
+The layout contract these tests pin down is documented in
+``docs/KERNELS.md``.
 """
 
 import numpy as np
@@ -19,8 +20,10 @@ from repro._kernels import (WORD_BITS, diff_coords, gather_bits, pack_rows,
                             tail_mask, unpack_rows)
 from repro.dram import (CoupledCellPopulation, CouplingSpec, DramChip,
                         FaultSpec, vendor)
+from repro.dram.faults import ForcedFlipNoise
 from repro.dram.mapping import AddressMapping
-from repro.runtime import reference_kernels
+
+from tests import oracle
 
 # Deliberately awkward row widths: 1 bit, sub-word, word-aligned,
 # word+1, and multi-word with a partial tail.
@@ -139,7 +142,11 @@ def test_scatter_span_masks_matches_dense(seed):
     assert np.array_equal(unpack_rows(words, n_bits), dense)
 
 
-# -- bank-level equivalence ----------------------------------------------
+# -- bank-level equivalence against the oracle ---------------------------
+
+# Odd widths for the bank cycle: 1 bit, sub-word, word-1, word+1, and
+# multi-word with a partial tail.
+ODD_WIDTHS = [1, 7, 63, 65, 200]
 
 
 def _random_chip(row_bits, seed):
@@ -158,28 +165,74 @@ def _random_chip(row_bits, seed):
                     seed=seed)
 
 
-@given(st.integers(min_value=0, max_value=2**31 - 1),
-       st.sampled_from([63, 65, 200]))
-@settings(max_examples=10, deadline=None)
-def test_bank_cycle_matches_reference_on_odd_widths(seed, row_bits):
-    """Write -> decay -> read parity on rows that end mid-word."""
-    data_rng = np.random.default_rng(seed)
-    rows = np.arange(12)
-    data = _bits(data_rng, (12, row_bits))
+def _random_patches(rng, n, row_bits):
+    """Span + point patches; half the time region-aligned spans."""
+    value = int(rng.integers(0, 2))
+    k = int(rng.integers(0, 6))
+    if rng.random() < 0.5:
+        divisors = [d for d in range(1, row_bits + 1) if row_bits % d == 0]
+        size = int(rng.choice(divisors))
+        starts = size * rng.integers(0, row_bits // size, size=k)
+    else:
+        size = int(rng.integers(1, row_bits + 1))
+        starts = rng.integers(0, row_bits - size + 1, size=k)
+    spans = (rng.integers(0, n, size=k), starts, size, value)
+    m = int(rng.integers(0, 10))
+    points = (rng.integers(0, n, size=m), rng.integers(0, row_bits, size=m),
+              1 - value)
+    return spans, points
 
-    ref = _random_chip(row_bits, seed % 1009).banks[0]
-    fast = _random_chip(row_bits, seed % 1009).banks[0]
-    with reference_kernels():
-        ref.write_rows(rows, data)
-        ref_read = ref.retention_read_rows(rows)
-        ref_fail = ref.retention_failures()
-    fast.write_rows(rows, data)
-    fast_read = fast.retention_read_rows(rows)
-    fast_fail = fast.retention_failures()
-    assert np.array_equal(ref.charge, fast.charge)
-    assert np.array_equal(ref_read, fast_read)
-    for a, b in zip(ref_fail, fast_fail):
+
+def _cycle(bank, seed):
+    """Write -> decay -> read through every bank entry point."""
+    rng = np.random.default_rng(seed)
+    n_rows, row_bits = bank.n_rows, bank.row_bits
+    rows = np.arange(n_rows)
+    out = []
+    bank.write_rows(rows, _bits(rng, (n_rows, row_bits)))
+    out.append(bank.charge)
+    sub = np.unique(rng.integers(0, n_rows, size=6))
+    bank.write_rows(sub, _bits(rng, row_bits))
+    out.append(bank.charge)
+    out.append(bank.retention_read_all())
+    out.extend(bank.retention_failures())
+    base = int(rng.integers(0, 2))
+    spans, points = _random_patches(rng, len(sub), row_bits)
+    bank.write_rows_patched(sub, base, spans=spans, points=points)
+    out.append(bank.charge)
+    k = 30
+    check_idx = rng.integers(0, len(sub), size=k)
+    check_cols = rng.integers(0, row_bits, size=k)
+    out.append(bank.retention_check_cells(sub, check_idx, check_cols))
+    out.append(bank.retention_read_rows(sub, coupled_rows_only=True))
+    return out
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from(ODD_WIDTHS))
+@settings(max_examples=15, deadline=None)
+def test_bank_cycle_matches_reference_on_odd_widths(seed, row_bits):
+    """Write -> decay -> read parity on rows that end mid-word.
+
+    Both banks carry forced read-time noise, so the union semantics of
+    injected corruption are checked against the flip events' XOR.
+    """
+    banks = []
+    for _ in range(2):
+        bank = _random_chip(row_bits, seed % 1009).banks[0]
+        noise_rng = np.random.default_rng(seed)
+        bank.noise = ForcedFlipNoise(noise_rng.integers(0, 12, size=4),
+                                     noise_rng.integers(0, row_bits,
+                                                        size=4))
+        banks.append(bank)
+    with oracle.oracle_substrate():
+        expected = _cycle(banks[0], seed)
+    got = _cycle(banks[1], seed)
+    assert len(expected) == len(got)
+    for a, b in zip(expected, got):
         assert np.array_equal(a, b)
+    # Same RNG consumption: the streams continue identically.
+    assert banks[0]._rng.random() == banks[1]._rng.random()
 
 
 @pytest.mark.parametrize("vendor_name", ["A", "B", "C"])
@@ -192,7 +245,7 @@ def test_evaluators_match_reference_across_vendors(vendor_name):
         data = _bits(data_rng, (16, chip_ref.row_bits))
         ref = chip_ref.banks[trial % len(chip_ref.banks)]
         fast = chip_fast.banks[trial % len(chip_fast.banks)]
-        with reference_kernels():
+        with oracle.oracle_substrate():
             ref.write_rows(np.arange(16), data)
             ref_fail = ref.retention_failures()
         fast.write_rows(np.arange(16), data)
@@ -201,17 +254,24 @@ def test_evaluators_match_reference_across_vendors(vendor_name):
             assert np.array_equal(a, b)
 
 
-def test_population_packed_evaluation_matches_dense():
-    """evaluate_failures_packed == evaluate_failures, same RNG draw."""
-    rng = np.random.default_rng(11)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from([100, 200]))
+@settings(max_examples=10, deadline=None)
+def test_population_packed_evaluation_matches_dense(seed, row_bits):
+    """evaluate_failures(packed) == the oracle's dense evaluation."""
+    rng = np.random.default_rng(seed)
     pop = CoupledCellPopulation.generate(
-        CouplingSpec(n_cells=400), n_rows=20, row_bits=200, tile_bits=100,
-        rng=rng)
-    charge = _bits(np.random.default_rng(12), (20, 200))
-    words = pack_rows(charge)
-    ref = pop.evaluate_failures(charge, np.random.default_rng(13))
-    packed = pop.evaluate_failures_packed(words, np.random.default_rng(13))
-    assert np.array_equal(ref, packed)
+        CouplingSpec(n_cells=400), n_rows=20, row_bits=row_bits,
+        tile_bits=100, rng=rng)
+    charge = _bits(rng, (20, row_bits))
+    ref_rng = np.random.default_rng(13)
+    fast_rng = np.random.default_rng(13)
+    for stress in (1.0, 0.5):
+        ref = oracle.evaluate_failures(pop, charge, ref_rng, stress=stress)
+        packed = pop.evaluate_failures(pack_rows(charge), fast_rng,
+                                       stress=stress)
+        assert np.array_equal(ref, packed)
+    assert ref_rng.random() == fast_rng.random()
 
 
 def test_charge_property_is_a_copy():
