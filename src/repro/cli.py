@@ -68,15 +68,14 @@ def _fleet_trace_id(specs) -> str:
 def _fleet_kwargs(args) -> Dict[str, Any]:
     """Map the resilience CLI flags onto ``run_fleet`` keywords."""
     kwargs: Dict[str, Any] = {"jobs": args.jobs}
-    checkpoint = getattr(args, "checkpoint", None)
-    if getattr(args, "resume", False) and not checkpoint:
+    if args.resume and not args.checkpoint:
         raise SystemExit("error: --resume requires --checkpoint FILE")
-    if checkpoint:
-        kwargs["checkpoint"] = checkpoint
-        kwargs["resume"] = bool(getattr(args, "resume", False))
-    if getattr(args, "timeout", None) is not None:
+    if args.checkpoint:
+        kwargs["checkpoint"] = args.checkpoint
+        kwargs["resume"] = args.resume
+    if args.timeout is not None:
         kwargs["timeout_s"] = args.timeout
-    if getattr(args, "max_failures", None) is not None:
+    if args.max_failures is not None:
         kwargs["strict"] = False
         kwargs["max_failures"] = args.max_failures
     return kwargs
@@ -104,8 +103,8 @@ def _run_fleet_observed(specs, args):
     """
     from .runtime import run_fleet
     kwargs = _fleet_kwargs(args)
-    trace_path = getattr(args, "trace", None)
-    metrics_path = getattr(args, "metrics", None)
+    trace_path = args.trace
+    metrics_path = args.metrics
     if not trace_path and not metrics_path:
         fleet = run_fleet(specs, **kwargs)
         _report_degraded(fleet)
@@ -538,7 +537,7 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_robust_flags(p: argparse.ArgumentParser) -> None:
-    """``--rounds`` / ``--quarantine-out`` for campaign commands."""
+    """``--rounds`` / ``--quarantine-out`` for the fleet-backed commands."""
     p.add_argument("--rounds", type=int, default=1, metavar="N",
                    help="repeat-and-vote repetitions per test round; "
                         "1 (default) is the legacy single-pass path, "
@@ -549,6 +548,10 @@ def _add_robust_flags(p: argparse.ArgumentParser) -> None:
                    help="write the quarantined (unstable) cells as "
                         "JSON, keyed by campaign label (requires "
                         "--rounds > 1)")
+
+
+def _add_ecc_flags(p: argparse.ArgumentParser) -> None:
+    """``--ecc`` / ``--ecc-recover`` for the single-target commands."""
     p.add_argument("--ecc", action="store_true",
                    help="also run the campaign through a vendor-true "
                         "on-die SEC-DED lens and report how the "
@@ -563,8 +566,7 @@ def _add_robust_flags(p: argparse.ArgumentParser) -> None:
 def _ecc_companion(spec, args):
     """The ECC twin of ``spec`` when ``--ecc``/``--ecc-recover`` asks
     for one; None otherwise."""
-    if not (getattr(args, "ecc", False)
-            or getattr(args, "ecc_recover", False)):
+    if not (args.ecc or args.ecc_recover):
         return None
     from .ecc import EccCampaignSpec
     import dataclasses
@@ -601,10 +603,10 @@ def _report_ecc(base_outcome, ecc_outcome, payload) -> None:
 
 def _write_quarantine(args, fleet) -> None:
     """Honour ``--quarantine-out`` for a finished fleet."""
-    path = getattr(args, "quarantine_out", None)
+    path = args.quarantine_out
     if not path:
         return
-    if getattr(args, "rounds", 1) <= 1:
+    if args.rounds <= 1:
         raise SystemExit("error: --quarantine-out requires --rounds > 1")
     payload = {o.spec.label(): o.quarantine.to_json()
                for o in fleet.outcomes if o.quarantine is not None}
@@ -650,6 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_flags(p)
     _add_resilience_flags(p)
     _add_robust_flags(p)
+    _add_ecc_flags(p)
     p.set_defaults(func=_cmd_characterize)
 
     p = sub.add_parser("compare",
@@ -663,6 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_flags(p)
     _add_resilience_flags(p)
     _add_robust_flags(p)
+    _add_ecc_flags(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("dcref", help="refresh-policy comparison")

@@ -83,11 +83,12 @@ class EccCampaignSpec(CampaignSpec):
 
     def _identity_extras(self) -> Tuple:
         # The null code measures exactly what the plain spec measures:
-        # no extras, so checkpoint keys (and outcome signatures) stay
-        # byte-identical - the differential gate depends on this.
+        # no ECC extras, so checkpoint keys (and outcome signatures)
+        # stay byte-identical - the differential gate depends on this.
+        extras = super()._identity_extras()
         if self.ecc == "null":
-            return ()
-        extras: Tuple = ("ecc", self.ecc)
+            return extras
+        extras += ("ecc", self.ecc)
         if self.ecc_fault:
             extras += ("ecc-fault", self.ecc_fault)
         return extras
@@ -107,6 +108,7 @@ class EccCampaignSpec(CampaignSpec):
         return HammingSecDed.for_vendor(self.vendor, self.build_seed)
 
     def _prepare_chips(self, chips: List) -> None:
+        super()._prepare_chips(chips)
         code = self.code()
         recovery = None
         if self.ecc == "recover":

@@ -13,11 +13,9 @@ the engine that makes such fleet campaigns cheap in the simulator:
   byte-identical to the serial path for every ``jobs`` setting.
 """
 
-from .chaos import (ChaosError, ChaosSpec, NoisySpec,
-                    ServiceFaultPlan, apply_service_fault,
-                    chaos_schedule, corrupt_queue_record,
-                    device_noise_schedule, service_chaos_plan,
-                    wrap_spec)
+from .chaos import (ChaosError, FaultPlan, chaos_schedule,
+                    corrupt_queue_record, device_noise_schedule,
+                    service_chaos_plan)
 from .fleet import FleetExecutionError, FleetResult, run_fleet
 from .resilience import (CheckpointJournal, CheckpointMismatch,
                          TargetError, TargetTimeout, backoff_delay,
@@ -30,8 +28,7 @@ __all__ = [
     "FleetResult", "run_fleet",
     "CheckpointJournal", "CheckpointMismatch", "TargetError",
     "TargetTimeout", "backoff_delay", "render_degraded",
-    "ChaosError", "ChaosSpec", "NoisySpec", "ServiceFaultPlan",
-    "apply_service_fault", "chaos_schedule", "corrupt_queue_record",
-    "device_noise_schedule", "service_chaos_plan", "wrap_spec",
+    "ChaosError", "FaultPlan", "chaos_schedule", "corrupt_queue_record",
+    "device_noise_schedule", "service_chaos_plan",
     "ladder_seed", "chip_seed", "module_seed", "seed_ladder",
 ]

@@ -8,47 +8,47 @@ result.  This module injects all four from a **seeded schedule**, so a
 chaos run is exactly as reproducible as a clean one and the recovery
 tests in ``tests/chaos`` can assert byte-identical outcomes.
 
-A :class:`ChaosSpec` wraps a normal
-:class:`~repro.runtime.specs.CampaignSpec` with an injection *plan*: a
-tuple naming the fault to fire on each execution attempt (``""`` for a
-clean attempt).  Attempt counting crosses process boundaries through a
-counter file under ``chaos_dir``, because a crashed worker cannot
-remember anything in memory.  Once the plan is exhausted the spec runs
-clean, so a fleet whose ``retries`` budget covers the plan always
-recovers - and because the wrapped spec's seeds are untouched, the
-recovered outcome is identical to an unperturbed run.
+Every injected fault of one target lives in its spec's
+:class:`FaultPlan` (``CampaignSpec.faults``; the default, empty plan
+injects nothing).  *Process* faults fire per execution attempt,
+counted across process boundaries in files under ``chaos_dir``
+because a crashed worker cannot remember anything in memory.  They
+never touch the spec's seeds or identity, so a fleet whose
+``retries`` cover the plan recovers an outcome identical to an
+unperturbed run.  *Device* noise - seeded VRT, marginal and soft-error
+populations - is attached to every bank of the rebuilt chips and
+joins the checkpoint key; with ``rounds > 1`` it drives the
+robustness invariant tests (definite cells match the noise-free
+profile, every injected cell ends in quarantine).
 
-:func:`chaos_schedule` derives a plan for every target from a root
-seed via the SHA-256 seed ladder: same seed, same faults, regardless
-of scheduling, ``--jobs``, or platform.
-
-**Substrate chaos** perturbs the device instead of the process:
-:class:`NoisySpec` attaches a seeded
-:class:`~repro.dram.faults.DeviceNoiseModel` (VRT flips, marginal
-cells, soft errors - optionally activating mid-campaign) to every bank
-of the rebuilt chip, and :func:`device_noise_schedule` derives one
-such spec per target from a root seed.  Combined with ``rounds > 1``
-this drives the robustness invariant tests: the ``definite`` cells of
-a noisy campaign match the noise-free profile, and every injected cell
-ends in quarantine.
+The schedules - :func:`chaos_schedule` (process faults),
+:func:`device_noise_schedule` (device noise) and
+:func:`service_chaos_plan` (one daemon-level fault) - derive their
+draws from a root seed via the SHA-256 seed ladder: same seed, same
+faults, regardless of scheduling, ``--jobs``, or platform.  Each
+returns ``dataclasses.replace(spec, faults=...)`` merged into the plan
+the spec already carries, so schedules stack and a subclass spec
+(e.g. :class:`repro.ecc.EccCampaignSpec`) keeps its identity.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from ..dram.faults import DeviceNoiseModel, NoiseSpec
 from .seeds import ladder_seed
-from .specs import CampaignOutcome, CampaignSpec
+
+if TYPE_CHECKING:  # specs.py imports FaultPlan from here
+    from .specs import CampaignSpec
 
 __all__ = ["ECC_FAULT_KINDS", "FAULT_KINDS", "SERVICE_FAULT_KINDS",
-           "ChaosError", "ChaosSpec", "NoisySpec", "ServiceFaultPlan",
-           "apply_service_fault", "chaos_schedule",
+           "ChaosError", "FaultPlan", "chaos_schedule",
            "corrupt_inferred_ecc", "corrupt_queue_record",
-           "device_noise_schedule", "service_chaos_plan", "wrap_spec"]
+           "device_noise_schedule", "service_chaos_plan"]
 
 FAULT_KINDS = ("crash", "hang", "transient", "corrupt")
 
@@ -73,44 +73,71 @@ class ChaosError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ChaosSpec(CampaignSpec):
-    """A campaign spec that injects scheduled faults when executed.
+class FaultPlan:
+    """Every fault injected into one campaign target, layer by layer.
 
     Attributes:
-        plan: fault to inject on each execution attempt (1-based);
-            ``""`` means the attempt runs clean, and attempts beyond
-            the plan always run clean.
+        process: process layer - the fault to inject on each execution
+            attempt (1-based); ``""`` means the attempt runs clean, and
+            attempts beyond the plan always run clean.
         chaos_dir: directory holding the cross-process attempt
             counters (one file per spec); must exist.  An empty value
-            disables injection entirely.
+            disables process injection entirely.
         hang_s: how long the ``"hang"`` fault sleeps.  Kept finite so
             an unwatched chaos run eventually fails loudly instead of
             stalling forever; a watchdog is expected to kill it first.
+        noise: device layer - the :class:`~repro.dram.faults.NoiseSpec`
+            describing the injected populations (its ``active_after``
+            is the "when"); ``None`` (or an empty spec) runs clean,
+            leaving the spec byte-equivalent to its base.
+        noise_seed: root of the per-bank noise seed ladder.  Each bank
+            gets its own :class:`~repro.dram.faults.DeviceNoiseModel`
+            seeded by ``ladder_seed(noise_seed, "device-noise",
+            chip, bank)``, so the injected cell set is a pure function
+            of ``(noise_seed, geometry)`` - never of scheduling.
 
-    The identity fields (seeds, geometry) are inherited unchanged, so
-    ``label()``, ``checkpoint_key()`` and the outcome signature all
-    match the wrapped spec's - a recovered chaos target is
-    indistinguishable from a clean run of the original.
+    The process layer never joins a spec's ``label``,
+    ``checkpoint_key`` or ``trace_id`` (a recovered chaos target is
+    indistinguishable from a clean run); a non-empty device layer joins
+    the checkpoint key, because it changes what the campaign measures.
     """
 
-    plan: Tuple[str, ...] = ()
+    process: Tuple[str, ...] = ()
     chaos_dir: str = ""
     hang_s: float = 60.0
+    noise: Optional[NoiseSpec] = None
+    noise_seed: int = 0
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        for fault in self.plan:
+        for fault in self.process:
             if fault and fault not in FAULT_KINDS:
                 raise ValueError(f"unknown chaos fault {fault!r}; "
                                  f"expected one of {FAULT_KINDS}")
 
-    def _counter_path(self) -> str:
-        return os.path.join(self.chaos_dir,
-                            self.checkpoint_key().replace(":", "_")
-                            + ".attempts")
+    # -- device layer --------------------------------------------------
 
-    def _next_attempt(self) -> int:
-        """Increment and return this spec's execution count (1-based).
+    def identity(self) -> Tuple:
+        """The plan's result-affecting identity parts (noise only)."""
+        if self.noise is None or self.noise.empty:
+            return ()
+        return ("device-noise", repr(self.noise), self.noise_seed)
+
+    def attach_noise(self, chips) -> None:
+        """Attach the seeded per-bank noise models to ``chips``."""
+        if self.noise is None or self.noise.empty:
+            return
+        for chip_idx, chip in enumerate(chips):
+            for bank_idx, bank in enumerate(chip.banks):
+                bank.noise = DeviceNoiseModel(
+                    self.noise, n_rows=bank.n_rows,
+                    row_bits=bank.row_bits,
+                    seed=ladder_seed(self.noise_seed, "device-noise",
+                                     chip_idx, bank_idx))
+
+    # -- process layer -------------------------------------------------
+
+    def _next_attempt(self, key: str) -> int:
+        """Increment and return the execution count of spec ``key``.
 
         The count lives on disk so it survives worker crashes.  The
         update must be write-to-temp + ``os.replace``: a worker can be
@@ -122,7 +149,8 @@ class ChaosSpec(CampaignSpec):
         increment - the count is monotonic, so a plan slot can never
         fire twice.
         """
-        path = self._counter_path()
+        path = os.path.join(self.chaos_dir,
+                            key.replace(":", "_") + ".attempts")
         try:
             with open(path) as fh:
                 count = int(fh.read().strip() or 0)
@@ -135,11 +163,17 @@ class ChaosSpec(CampaignSpec):
         os.replace(tmp, path)
         return count
 
-    def run(self) -> CampaignOutcome:
-        if not self.chaos_dir:
-            return super().run()
-        attempt = self._next_attempt()
-        fault = self.plan[attempt - 1] if attempt <= len(self.plan) else ""
+    def fire(self, key: str) -> str:
+        """Count one attempt of spec ``key`` and fire its fault.
+
+        ``crash``, ``hang`` and ``transient`` fire here, before the
+        campaign runs; ``corrupt`` is returned for the caller to apply
+        to the finished outcome.  Returns ``""`` for a clean attempt.
+        Requires ``chaos_dir``; the caller skips plans without one.
+        """
+        attempt = self._next_attempt(key)
+        fault = (self.process[attempt - 1]
+                 if attempt <= len(self.process) else "")
         if fault == "crash":
             os._exit(CRASH_EXIT_CODE)  # simulates a segfaulting worker
         if fault == "hang":
@@ -148,24 +182,7 @@ class ChaosSpec(CampaignSpec):
                              f"without a watchdog")
         if fault == "transient":
             raise ChaosError("injected transient fault")
-        outcome = super().run()
-        if fault == "corrupt":
-            # A silently wrong result: plausible shape, different
-            # signature.  Only checkpoint verification can catch it.
-            outcome.distances = list(outcome.distances) + [9999]
-        return outcome
-
-
-def wrap_spec(spec: CampaignSpec, plan: Sequence[str], chaos_dir: str,
-              hang_s: float = 60.0) -> ChaosSpec:
-    """A :class:`ChaosSpec` carrying ``spec``'s identity plus ``plan``."""
-    return ChaosSpec(
-        experiment=spec.experiment, vendor=spec.vendor, index=spec.index,
-        build_seed=spec.build_seed, run_seed=spec.run_seed,
-        n_rows=spec.n_rows, sample_size=spec.sample_size,
-        run_sweep=spec.run_sweep, rounds=spec.rounds, config=spec.config,
-        trace=spec.trace, plan=tuple(plan), chaos_dir=chaos_dir,
-        hang_s=hang_s)
+        return fault
 
 
 def chaos_schedule(seed: int, specs: Sequence[CampaignSpec],
@@ -174,7 +191,7 @@ def chaos_schedule(seed: int, specs: Sequence[CampaignSpec],
                    max_faults_per_target: int = 2,
                    fault_rate: float = 0.75,
                    hang_s: float = 60.0) -> list:
-    """Wrap ``specs`` with a seeded, scheduling-independent fault plan.
+    """Give ``specs`` a seeded, scheduling-independent process plan.
 
     Every draw comes from ``ladder_seed(seed, "chaos", <target
     identity>, ...)``, so the schedule depends only on the root seed
@@ -194,7 +211,8 @@ def chaos_schedule(seed: int, specs: Sequence[CampaignSpec],
         hang_s: sleep length of injected hangs.
 
     Returns:
-        One :class:`ChaosSpec` per input spec, in input order.
+        One spec per input spec, in input order, each carrying its
+        input's identity and fault plan plus the drawn process plan.
     """
     if not 0 <= fault_rate <= 1:
         raise ValueError("fault_rate must be in [0, 1]")
@@ -219,7 +237,9 @@ def chaos_schedule(seed: int, specs: Sequence[CampaignSpec],
                 plan.append(faults[pick])
             else:
                 plan.append("")
-        wrapped.append(wrap_spec(spec, plan, chaos_dir, hang_s=hang_s))
+        wrapped.append(spec.with_faults(process=tuple(plan),
+                                        chaos_dir=chaos_dir,
+                                        hang_s=hang_s))
     return wrapped
 
 
@@ -258,38 +278,43 @@ def corrupt_inferred_ecc(inferred, kind: str, seed: int):
 # -- service-level chaos ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ServiceFaultPlan:
-    """One seeded service-level fault: what fires, and where.
-
-    ``shard`` / ``target`` locate the victim in *checkpoint-key
-    order* - the same pure-function shard layout the service's queue
-    uses (:func:`repro.service.queue.partition_shards`) - so a plan
-    names the identical victim on every replay, resubmission, or
-    restart.
-    """
-
-    kind: str
-    shard: int
-    target: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in SERVICE_FAULT_KINDS:
-            raise ValueError(f"unknown service fault {self.kind!r}; "
-                             f"expected one of {SERVICE_FAULT_KINDS}")
-
-
-def service_chaos_plan(seed: int, n_targets: int, shard_size: int,
-                       kinds: Sequence[str] = SERVICE_FAULT_KINDS
-                       ) -> ServiceFaultPlan:
-    """Draw one seeded service fault for a campaign of ``n_targets``.
+def service_chaos_plan(seed: int, specs: Sequence[CampaignSpec],
+                       chaos_dir: str, shard_size: int,
+                       kinds: Sequence[str] = SERVICE_FAULT_KINDS,
+                       hang_s: float = 60.0) -> list:
+    """Arm one seeded service fault on a campaign's ``specs``.
 
     Every draw comes from ``ladder_seed(seed, "service-chaos", ...)``:
-    same seed, same fault, same victim shard/target - regardless of
-    platform or scheduling.  Distinct seeds move the fault around, so
-    a test sweeping a handful of seeds exercises kills in different
+    same seed, same fault, same victim - regardless of platform or
+    scheduling.  The victim is located by shard and position in
+    *checkpoint-key order*, the same pure-function shard layout the
+    service's queue uses (:func:`repro.service.queue.partition_shards`),
+    so the plan names the identical victim on every replay,
+    resubmission, or restart.  Distinct seeds move the fault around,
+    so a test sweeping a handful of seeds exercises kills in different
     shards and positions.
+
+    The victim's process plan gains one fault on its *first*
+    execution:
+
+    * ``kill-daemon`` -> a ``"crash"`` fault.  Under the daemon's
+      in-process shard execution (``jobs=1``) the ``os._exit`` takes
+      the whole daemon down mid-shard - the moral equivalent of a
+      SIGKILL between two checkpoint appends, and exactly as
+      deterministic as the seed.
+    * ``hang-shard`` -> a ``"hang"`` fault: the target sleeps past
+      the shard watchdog (requires the daemon to run shards with
+      ``jobs >= 2``, where ``run_fleet``'s watchdog can kill it).
+    * ``corrupt-queue`` targets the journal file, not a spec - use
+      :func:`corrupt_queue_record`; the specs pass through unchanged.
+
+    The attempt counter in ``chaos_dir`` survives the daemon (put it
+    inside the service's state dir), so after a restart the retry
+    runs clean and recovery can be asserted byte-identical.
+
+    Returns the specs in their input order, victim armed.
     """
+    n_targets = len(specs)
     if n_targets < 1:
         raise ValueError("n_targets must be >= 1")
     if shard_size < 1:
@@ -301,46 +326,17 @@ def service_chaos_plan(seed: int, n_targets: int, shard_size: int,
     n_shards = (n_targets + shard_size - 1) // shard_size
     kind = kinds[ladder_seed(seed, "service-chaos", "kind")
                  % len(kinds)]
+    if kind == "corrupt-queue":
+        return list(specs)
     shard = ladder_seed(seed, "service-chaos", "shard") % n_shards
     width = min(shard_size, n_targets - shard * shard_size)
     target = ladder_seed(seed, "service-chaos", "target") % width
-    return ServiceFaultPlan(kind=kind, shard=shard, target=target)
-
-
-def apply_service_fault(plan: ServiceFaultPlan,
-                        specs: Sequence[CampaignSpec],
-                        chaos_dir: str, shard_size: int,
-                        hang_s: float = 60.0) -> list:
-    """Arm a service fault by wrapping the plan's victim target.
-
-    The victim (located in checkpoint-key order, mirroring the
-    service's shard layout) is wrapped so its *first* execution
-    realises the service-level failure:
-
-    * ``kill-daemon`` -> a ``"crash"`` fault.  Under the daemon's
-      in-process shard execution (``jobs=1``) the ``os._exit`` takes
-      the whole daemon down mid-shard - the moral equivalent of a
-      SIGKILL between two checkpoint appends, and exactly as
-      deterministic as the seed.
-    * ``hang-shard`` -> a ``"hang"`` fault: the target sleeps past
-      the shard watchdog (requires the daemon to run shards with
-      ``jobs >= 2``, where ``run_fleet``'s watchdog can kill it).
-    * ``corrupt-queue`` targets the journal file, not a spec - use
-      :func:`corrupt_queue_record`; the specs pass through unwrapped.
-
-    The attempt counter in ``chaos_dir`` survives the daemon (put it
-    inside the service's state dir), so after a restart the retry
-    runs clean and recovery can be asserted byte-identical.
-
-    Returns the specs in their input order, victim wrapped.
-    """
-    if plan.kind == "corrupt-queue":
-        return list(specs)
     ordered = sorted(specs, key=lambda s: s.checkpoint_key())
-    victim = ordered[plan.shard * shard_size + plan.target]
-    fault = "crash" if plan.kind == "kill-daemon" else "hang"
-    wrapped = wrap_spec(victim, (fault,), chaos_dir, hang_s=hang_s)
-    return [wrapped if spec is victim else spec for spec in specs]
+    victim = ordered[shard * shard_size + target]
+    fault = "crash" if kind == "kill-daemon" else "hang"
+    armed = victim.with_faults(process=(fault,), chaos_dir=chaos_dir,
+                               hang_s=hang_s)
+    return [armed if spec is victim else spec for spec in specs]
 
 
 def corrupt_queue_record(path: str, seed: int,
@@ -385,79 +381,10 @@ def corrupt_queue_record(path: str, seed: int,
     return idx
 
 
-@dataclass(frozen=True)
-class NoisySpec(CampaignSpec):
-    """A campaign spec whose rebuilt chips carry injected device noise.
-
-    Attributes:
-        noise: the :class:`~repro.dram.faults.NoiseSpec` describing the
-            injected populations; ``None`` (or an empty spec) runs
-            clean, leaving the spec byte-equivalent to its base.
-        noise_seed: root of the per-bank noise seed ladder.  Each bank
-            gets its own :class:`~repro.dram.faults.DeviceNoiseModel`
-            seeded by ``ladder_seed(noise_seed, "device-noise",
-            chip, bank)``, so the injected cell set is a pure function
-            of ``(noise_seed, geometry)`` - never of scheduling.
-
-    The injected noise *does* change what the campaign measures, so it
-    joins the checkpoint key (unlike :class:`ChaosSpec`'s process
-    faults, which must not).
-    """
-
-    noise: Optional[NoiseSpec] = None
-    noise_seed: int = 0
-
-    def _identity_extras(self) -> Tuple:
-        if self.noise is None or self.noise.empty:
-            return ()
-        return ("device-noise", repr(self.noise), self.noise_seed)
-
-    def _prepare_chips(self, chips) -> None:
-        if self.noise is None or self.noise.empty:
-            return
-        for chip_idx, chip in enumerate(chips):
-            for bank_idx, bank in enumerate(chip.banks):
-                bank.noise = DeviceNoiseModel(
-                    self.noise, n_rows=bank.n_rows,
-                    row_bits=bank.row_bits,
-                    seed=ladder_seed(self.noise_seed, "device-noise",
-                                     chip_idx, bank_idx))
-
-    def injected_cells(self):
-        """Ground truth: every injected cell as sweep coordinates.
-
-        Rebuilds the per-bank noise models (cheap - position draws
-        only) and maps their physical columns through each bank's
-        address scrambling, yielding ``(chip, bank, row, sys_col)``
-        tuples comparable with campaign detections.
-        """
-        from ..dram.vendors import make_module, vendor
-
-        if self.noise is None or self.noise.empty:
-            return set()
-        if self.experiment == "characterize":
-            chips = [vendor(self.vendor).make_chip(seed=self.build_seed,
-                                                   n_rows=self.n_rows)]
-        else:
-            chips = list(make_module(self.vendor, self.index,
-                                     seed=self.build_seed,
-                                     n_rows=self.n_rows).chips)
-        self._prepare_chips(chips)
-        coords = set()
-        for chip_idx, chip in enumerate(chips):
-            for bank_idx, bank in enumerate(chip.banks):
-                rows, phys = bank.noise.cells()
-                sys_cols = bank.mapping.phys_to_sys()[phys]
-                coords.update(
-                    (chip_idx, bank_idx, int(r), int(c))
-                    for r, c in zip(rows.tolist(), sys_cols.tolist()))
-        return coords
-
-
 def device_noise_schedule(seed: int, specs: Sequence[CampaignSpec],
                           noise: NoiseSpec,
                           rounds: Optional[int] = None) -> list:
-    """Wrap ``specs`` with seeded device noise (substrate chaos).
+    """Give ``specs`` seeded device noise (substrate chaos).
 
     Every target keeps its own identity seeds; only the *noise* seed
     is drawn from the ladder (``ladder_seed(seed, "device-noise",
@@ -474,18 +401,17 @@ def device_noise_schedule(seed: int, specs: Sequence[CampaignSpec],
             rounds at the same time (``None`` keeps each spec's own).
 
     Returns:
-        One :class:`NoisySpec` per input spec, in input order.
+        One spec per input spec, in input order, each carrying its
+        input's identity and fault plan plus the device noise.
     """
     wrapped = []
     for spec in specs:
         identity = (spec.experiment, spec.vendor, spec.index,
                     spec.run_seed)
-        wrapped.append(NoisySpec(
-            experiment=spec.experiment, vendor=spec.vendor,
-            index=spec.index, build_seed=spec.build_seed,
-            run_seed=spec.run_seed, n_rows=spec.n_rows,
-            sample_size=spec.sample_size, run_sweep=spec.run_sweep,
-            rounds=spec.rounds if rounds is None else rounds,
-            config=spec.config, trace=spec.trace, noise=noise,
-            noise_seed=ladder_seed(seed, "device-noise", *identity)))
+        noisy = spec.with_faults(
+            noise=noise,
+            noise_seed=ladder_seed(seed, "device-noise", *identity))
+        if rounds is not None:
+            noisy = dataclasses.replace(noisy, rounds=rounds)
+        wrapped.append(noisy)
     return wrapped

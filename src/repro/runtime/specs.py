@@ -20,13 +20,14 @@ the serial driver with the same seeds in the parent process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .. import obs
 from ..core.config import ParborConfig
 from ..core.detector import ParborResult
 from ..dram.controller import TestStats
+from .chaos import FaultPlan
 from .seeds import ladder_seed
 
 __all__ = ["CampaignSpec", "CampaignOutcome"]
@@ -117,6 +118,11 @@ class CampaignSpec:
             records/metrics back on the outcome; in-process it joins
             the caller's active session.  Results are bit-identical
             either way.
+        faults: the injected faults (:class:`repro.runtime.chaos.
+            FaultPlan`); the default empty plan runs clean.  Its
+            process faults fire in :meth:`run` and never join the
+            identity; its device noise is attached to the rebuilt
+            chips and joins the checkpoint key.
     """
 
     experiment: str
@@ -130,6 +136,7 @@ class CampaignSpec:
     rounds: int = 1
     config: Optional[ParborConfig] = field(default=None, compare=False)
     trace: bool = field(default=False, compare=False)
+    faults: FaultPlan = FaultPlan()
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -164,21 +171,27 @@ class CampaignSpec:
     def _identity_extras(self) -> Tuple:
         """Extra result-affecting identity parts (subclass hook).
 
-        Subclasses that change what a campaign *measures* (not how it
-        is scheduled) - e.g. :class:`repro.runtime.chaos.NoisySpec`'s
-        injected device noise - return the extra parts here so their
-        checkpoint keys never collide with the clean spec's.
+        The base spec contributes its fault plan's device noise;
+        subclasses that change what a campaign *measures* (not how it
+        is scheduled) - e.g. :class:`repro.ecc.EccCampaignSpec` - add
+        their own parts so their checkpoint keys never collide with
+        the clean spec's.
         """
-        return ()
+        return self.faults.identity()
 
     def _prepare_chips(self, chips: List) -> None:
         """Post-build hook over the freshly manufactured chips.
 
         Called once per run, after the chip/module is rebuilt from the
-        spec's seeds and before the campaign starts.  The default does
-        nothing; :class:`repro.runtime.chaos.NoisySpec` attaches its
-        seeded device-noise models here.
+        spec's seeds and before the campaign starts.  The base spec
+        attaches its fault plan's seeded device-noise models;
+        subclasses extend it (calling ``super()``).
         """
+        self.faults.attach_noise(chips)
+
+    def with_faults(self, **changes: Any) -> "CampaignSpec":
+        """This spec with ``changes`` merged into its fault plan."""
+        return replace(self, faults=replace(self.faults, **changes))
 
     def trace_id(self) -> str:
         """Stable trace identity: the seed-ladder path of this target.
@@ -195,10 +208,14 @@ class CampaignSpec:
     def run(self) -> CampaignOutcome:
         """Rebuild the target from seeds and run its campaign.
 
+        Fires the fault plan's process fault for this attempt first.
         Imports the drivers lazily so that unpickling a spec in a
         worker never races module initialisation, and so that
         ``repro.analysis`` can itself import this package.
         """
+        fault = ""
+        if self.faults.chaos_dir:
+            fault = self.faults.fire(self.checkpoint_key())
         if self.trace and not obs.enabled():
             # Worker-side (or standalone) tracing: open a session for
             # this one target and ship the records back picklably.
@@ -207,10 +224,15 @@ class CampaignSpec:
                 outcome = self._run_instrumented()
             outcome.trace_records = sess.export_records()
             outcome.metrics = sess.metrics
-            return outcome
-        if obs.enabled():
-            return self._run_instrumented()
-        return self._dispatch()
+        elif obs.enabled():
+            outcome = self._run_instrumented()
+        else:
+            outcome = self._dispatch()
+        if fault == "corrupt":
+            # A silently wrong result: plausible shape, different
+            # signature.  Only checkpoint verification can catch it.
+            outcome.distances = list(outcome.distances) + [9999]
+        return outcome
 
     def _dispatch(self) -> CampaignOutcome:
         if self.experiment == "characterize":

@@ -13,11 +13,13 @@ and checkpoint files, so the whole system speaks one format):
 
 Campaign specs cross the wire as plain JSON objects mirroring
 :class:`~repro.runtime.specs.CampaignSpec`'s result-affecting fields.
-``config`` overrides are deliberately not wire-expressible (a service
-tenant names seeds and geometry, not internal thresholds); an optional
-``chaos`` object reconstructs a
-:class:`~repro.runtime.chaos.ChaosSpec` wrapper so the chaos suite can
-drive fault injection through the full submission path.
+``config`` overrides, spec subclasses (e.g. ECC campaigns) and
+device-noise plans are deliberately not wire-expressible (a service
+tenant names seeds and geometry, not internal thresholds) and are
+rejected rather than silently submitted as a different campaign; an
+optional ``chaos`` object carries the process layer of a
+:class:`~repro.runtime.chaos.FaultPlan` so the chaos suite can drive
+fault injection through the full submission path.
 
 Campaign identity is content-addressed: :func:`campaign_id` hashes the
 tenant and the sorted checkpoint keys through the seed ladder, so
@@ -32,6 +34,7 @@ import json
 import zlib
 from typing import Any, Dict, List, Sequence
 
+from ..runtime.chaos import FaultPlan
 from ..runtime.seeds import ladder_seed
 from ..runtime.specs import CampaignSpec
 
@@ -59,20 +62,26 @@ class ProtocolError(ValueError):
 
 
 def spec_to_json(spec: CampaignSpec) -> Dict[str, Any]:
-    """The wire form of a spec (chaos wrappers keep their plan)."""
-    from ..runtime.chaos import ChaosSpec
-
+    """The wire form of a spec (process fault plans included)."""
     if spec.config is not None:
         raise ProtocolError(
             "config overrides are not wire-expressible; submit seeds "
             "and geometry only")
+    if type(spec) is not CampaignSpec:
+        raise ProtocolError(
+            f"{type(spec).__name__} is not wire-expressible; submit "
+            f"plain campaign specs only")
+    faults = spec.faults
+    if faults.noise is not None:
+        raise ProtocolError("device-noise fault plans are not "
+                            "wire-expressible")
     payload: Dict[str, Any] = {
         name: getattr(spec, name) for name in SPEC_FIELDS
     }
-    if isinstance(spec, ChaosSpec) and spec.chaos_dir:
-        payload["chaos"] = {"plan": list(spec.plan),
-                            "dir": spec.chaos_dir,
-                            "hang_s": spec.hang_s}
+    if faults.chaos_dir:
+        payload["chaos"] = {"plan": list(faults.process),
+                            "dir": faults.chaos_dir,
+                            "hang_s": faults.hang_s}
     return payload
 
 
@@ -102,23 +111,20 @@ def spec_from_json(payload: Dict[str, Any]) -> CampaignSpec:
             raise ProtocolError(
                 f"spec field {name} must be {kind.__name__}")
         kwargs[name] = value
-    try:
-        spec = CampaignSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"invalid spec: {exc}") from None
     if chaos is not None:
-        from ..runtime.chaos import wrap_spec
         if not isinstance(chaos, dict) or "plan" not in chaos \
                 or "dir" not in chaos:
-            raise ProtocolError("chaos wrapper needs plan and dir")
+            raise ProtocolError("chaos object needs plan and dir")
         try:
-            spec = wrap_spec(spec, tuple(chaos["plan"]),
-                             str(chaos["dir"]),
-                             hang_s=float(chaos.get("hang_s", 60.0)))
+            kwargs["faults"] = FaultPlan(
+                process=tuple(chaos["plan"]), chaos_dir=str(chaos["dir"]),
+                hang_s=float(chaos.get("hang_s", 60.0)))
         except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"invalid chaos wrapper: {exc}") \
-                from None
-    return spec
+            raise ProtocolError(f"invalid chaos plan: {exc}") from None
+    try:
+        return CampaignSpec(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"invalid spec: {exc}") from None
 
 
 def campaign_id(tenant: str, specs: Sequence[CampaignSpec]) -> str:

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.runtime import chaos_schedule, run_fleet, wrap_spec
+from repro.runtime import chaos_schedule, run_fleet
 
 from .conftest import small_specs
 
@@ -32,7 +32,8 @@ def test_seeded_schedule_recovers_identically(chaos_seed, tmp_path,
                              hang_s=30.0)
     # A slot-2 fault only fires if slot 1 already failed, so the
     # "something actually happened" guarantee needs a slot-1 fault.
-    first_slot = sum(1 for s in wrapped if s.plan and s.plan[0])
+    first_slot = sum(1 for s in wrapped
+                     if s.faults.process and s.faults.process[0])
     assert first_slot > 0, "schedule injected nothing; pick another seed"
     fleet = run_fleet(wrapped, jobs=2, retries=2, timeout_s=4.0,
                       checkpoint=ckpt, resume="verify",
@@ -65,8 +66,8 @@ def test_hung_worker_killed_within_deadline(tmp_path, clean_baseline):
     """
     specs = small_specs()
     hung = specs[1].label()
-    specs[1] = wrap_spec(specs[1], ("hang",), str(tmp_path),
-                         hang_s=30.0)
+    specs[1] = specs[1].with_faults(process=("hang",),
+                                    chaos_dir=str(tmp_path), hang_s=30.0)
     timeout_s = 2.0
     t0 = time.perf_counter()
     with obs.session("chaos-watchdog") as sess:
@@ -98,7 +99,8 @@ def test_corruption_caught_by_verify(tmp_path, clean_baseline):
     run_fleet(specs, jobs=1, checkpoint=ckpt)
     chaos_dir = tmp_path / "chaos"
     chaos_dir.mkdir()
-    wrapped = [wrap_spec(specs[0], ("corrupt",), str(chaos_dir)),
+    wrapped = [specs[0].with_faults(process=("corrupt",),
+                                    chaos_dir=str(chaos_dir)),
                specs[1], specs[2]]
     with obs.session("chaos-corrupt") as sess:
         fleet = run_fleet(wrapped, jobs=1, retries=1, checkpoint=ckpt,

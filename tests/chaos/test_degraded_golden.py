@@ -13,7 +13,7 @@ import pathlib
 
 import pytest
 
-from repro.runtime import render_degraded, run_fleet, wrap_spec
+from repro.runtime import render_degraded, run_fleet
 
 from .conftest import small_specs
 
@@ -36,7 +36,8 @@ def _check(name: str, text: str) -> None:
 
 def test_degraded_report_golden(tmp_path):
     specs = small_specs()
-    specs[1] = wrap_spec(specs[1], ("transient",) * 4, str(tmp_path))
+    specs[1] = specs[1].with_faults(process=("transient",) * 4,
+                                    chaos_dir=str(tmp_path))
     fleet = run_fleet(specs, jobs=1, retries=1, strict=False,
                       backoff_base=0.0)
     assert not fleet.ok

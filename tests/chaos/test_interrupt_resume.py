@@ -28,9 +28,10 @@ import sys
 conftest_dir, ckpt, chaos_dir = sys.argv[1], sys.argv[2], sys.argv[3]
 sys.path.insert(0, conftest_dir)
 from conftest import small_specs
-from repro.runtime import run_fleet, wrap_spec
+from repro.runtime import run_fleet
 specs = small_specs()
-specs[1] = wrap_spec(specs[1], ("hang",), chaos_dir, hang_s=120.0)
+specs[1] = specs[1].with_faults(process=("hang",),
+                                chaos_dir=chaos_dir, hang_s=120.0)
 run_fleet(specs, jobs=1, checkpoint=ckpt)
 """
 

@@ -18,8 +18,7 @@ import time
 
 import pytest
 
-from repro.runtime import (apply_service_fault, corrupt_queue_record,
-                           service_chaos_plan)
+from repro.runtime import corrupt_queue_record, service_chaos_plan
 from repro.runtime.chaos import CRASH_EXIT_CODE
 from repro.service import client
 from tests.service.harness import (result_signature_map,
@@ -60,10 +59,8 @@ def test_kill_daemon_mid_shard_recovers_byte_identical(
     chaos_dir.mkdir(parents=True)
 
     specs = small_specs()
-    plan = service_chaos_plan(seed, len(specs), SHARD_SIZE,
-                              kinds=("kill-daemon",))
-    wrapped = apply_service_fault(plan, specs, str(chaos_dir),
-                                  SHARD_SIZE)
+    wrapped = service_chaos_plan(seed, specs, str(chaos_dir), SHARD_SIZE,
+                                 kinds=("kill-daemon",))
 
     proc = start_daemon(sock, state, shard_size=SHARD_SIZE)
     try:
@@ -107,10 +104,8 @@ def test_hang_shard_killed_by_watchdog_and_retried(tmp_path,
     chaos_dir.mkdir(parents=True)
 
     specs = small_specs()
-    plan = service_chaos_plan(5, len(specs), SHARD_SIZE,
-                              kinds=("hang-shard",))
-    wrapped = apply_service_fault(plan, specs, str(chaos_dir),
-                                  SHARD_SIZE, hang_s=120.0)
+    wrapped = service_chaos_plan(5, specs, str(chaos_dir), SHARD_SIZE,
+                                 kinds=("hang-shard",), hang_s=120.0)
 
     proc = start_daemon(sock, state, shard_size=SHARD_SIZE, jobs=2,
                         timeout_s=5.0)

@@ -21,6 +21,7 @@ from repro.dcref import guardbanded_bins, under_refresh_report
 from repro.dram.faults import NoiseSpec
 from repro.runtime import CampaignSpec, chip_seed, run_fleet
 from repro.runtime.chaos import device_noise_schedule
+from tests.oracle import injected_cells
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -60,7 +61,7 @@ def test_noise_schedule_preserves_definite_profile(noise_seed,
     assert noisy.ok
     for clean_o, noisy_o, spec in zip(noise_free.outcomes,
                                       noisy.outcomes, wrapped):
-        injected = spec.injected_cells()
+        injected = injected_cells(spec)
         assert injected, "schedule injected nothing; pick another seed"
 
         # (1) definite sets byte-identical to the noise-free run.

@@ -8,7 +8,7 @@ distances of that scrambler.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ParborConfig, VictimSample, \
@@ -21,34 +21,37 @@ STEP_SETS = [(1, 3), (1, 5), (2, 3), (1, 7), (3, 4), (1, 6), (2, 5)]
 
 
 def random_scrambler_chip(steps, n_cells, seed):
-    """A 256-bit-row chip with a random step-path scrambler."""
+    """A 64-row, 256-bit-row chip with a random step-path scrambler."""
     signed = [s for m in steps for s in (m, -m)]
     path = find_step_path(256, signed)
     mapping = AddressMapping(row_bits=256, block_bits=256,
                              block_path=tuple(path), tile_bits=256)
     spec = CouplingSpec(n_cells=n_cells, strong_fraction=1.0,
                         p_fail_range=(1.0, 1.0))
-    chip = DramChip(mapping=mapping, n_rows=32, coupling_spec=spec,
+    chip = DramChip(mapping=mapping, n_rows=64, coupling_spec=spec,
                     fault_spec=FaultSpec(soft_error_rate=0.0), seed=seed)
     return chip, mapping
 
 
 @given(st.sampled_from(STEP_SETS), st.integers(min_value=0,
                                                max_value=10_000))
+@example(steps=(2, 5), seed=7919)
 @settings(max_examples=10, deadline=None)
 def test_recursion_reports_only_true_distances(steps, seed):
-    chip, mapping = random_scrambler_chip(steps, n_cells=300, seed=seed)
+    chip, mapping = random_scrambler_chip(steps, n_cells=600, seed=seed)
     pop = chip.banks[0].coupled
     p2s = mapping.phys_to_sys()
-    # Sparse rows (<= 2 victims each): 256-bit rows are 32x shorter
-    # than real ones, so row crowding must be capped the same way
-    # ParborConfig.max_victims_per_row does for real discovery.
+    # One victim per row: 256-bit rows are 32x shorter than real ones,
+    # and ParborConfig.max_victims_per_row (8 per 8192-bit row) exists
+    # because row-mates tested in the same write land aggressors on
+    # each other's neighbours and fabricate distances.  Two per 256-bit
+    # row is 8x that density and fabricates -6 for the pinned example.
     coords = []
-    per_row = {}
+    rows = set()
     for i in range(len(pop)):
         r = int(pop.row[i])
-        if per_row.get(r, 0) < 2:
-            per_row[r] = per_row.get(r, 0) + 1
+        if r not in rows:
+            rows.add(r)
             coords.append((0, 0, r, int(p2s[pop.phys[i]])))
     ctrl = MemoryController(chip)
     config = ParborConfig(fanouts=(2, 8, 4, 4), sample_size=300)

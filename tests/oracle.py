@@ -29,6 +29,9 @@ run on the oracle::
 The differential tests in ``tests/runtime`` require the packed engine
 to match it bit for bit: charge state, read-back data, RNG
 consumption and campaign signatures.
+
+:func:`injected_cells` is the ground truth of a device-noise fault
+plan, for the chaos suite's quarantine assertions.
 """
 
 from contextlib import contextmanager
@@ -42,7 +45,7 @@ from repro.dram.cells import NO_NEIGHBOUR, CoupledCellPopulation
 
 __all__ = ["write_rows", "write_rows_patched", "evaluate_failures",
            "retention_read_rows", "retention_check_cells",
-           "oracle_substrate"]
+           "oracle_substrate", "injected_cells"]
 
 
 # -- write ----------------------------------------------------------------
@@ -237,3 +240,38 @@ def oracle_substrate() -> Iterator[None]:
     finally:
         for cls, name, fn in saved:
             setattr(cls, name, fn)
+
+
+# -- device-noise ground truth ---------------------------------------------
+
+
+def injected_cells(spec) -> set:
+    """Every cell a spec's device-noise plan injects, as sweep coords.
+
+    Rebuilds the per-bank noise models (cheap - position draws only)
+    and maps their physical columns through each bank's address
+    scrambling, yielding ``(chip, bank, row, sys_col)`` tuples
+    comparable with campaign detections.
+    """
+    from repro.dram.vendors import make_module, vendor
+
+    noise = spec.faults.noise
+    if noise is None or noise.empty:
+        return set()
+    if spec.experiment == "characterize":
+        chips = [vendor(spec.vendor).make_chip(seed=spec.build_seed,
+                                               n_rows=spec.n_rows)]
+    else:
+        chips = list(make_module(spec.vendor, spec.index,
+                                 seed=spec.build_seed,
+                                 n_rows=spec.n_rows).chips)
+    spec.faults.attach_noise(chips)
+    coords = set()
+    for chip_idx, chip in enumerate(chips):
+        for bank_idx, bank in enumerate(chip.banks):
+            rows, phys = bank.noise.cells()
+            sys_cols = bank.mapping.phys_to_sys()[phys]
+            coords.update(
+                (chip_idx, bank_idx, int(r), int(c))
+                for r, c in zip(rows.tolist(), sys_cols.tolist()))
+    return coords

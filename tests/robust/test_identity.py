@@ -16,6 +16,7 @@ from repro.dram.faults import NoiseSpec, RandomFaultModel
 from repro.robust import RoundsPolicy
 from repro.runtime import CampaignSpec
 from repro.runtime.chaos import device_noise_schedule
+from tests.oracle import injected_cells
 
 TINY = dict(seed=5, n_rows=48)
 
@@ -80,7 +81,7 @@ class TestSpecIdentity:
         (noisy,) = device_noise_schedule(3, [base], NoiseSpec())
         assert noisy.checkpoint_key() == base.checkpoint_key()
         assert noisy.run().signature() == base.run().signature()
-        assert noisy.injected_cells() == set()
+        assert injected_cells(noisy) == set()
 
 
 class TestRngConsumption:

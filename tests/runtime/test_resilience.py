@@ -13,8 +13,7 @@ import pytest
 
 from repro.runtime import (CampaignSpec, CheckpointJournal,
                            CheckpointMismatch, FleetExecutionError,
-                           backoff_delay, chip_seed, run_fleet,
-                           wrap_spec)
+                           backoff_delay, chip_seed, run_fleet)
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -88,7 +87,8 @@ class TestCheckpointKey:
 
     def test_chaos_wrapper_shares_key(self, tmp_path):
         spec = _specs()[0]
-        wrapped = wrap_spec(spec, ("transient",), str(tmp_path))
+        wrapped = spec.with_faults(process=("transient",),
+                                   chaos_dir=str(tmp_path))
         assert wrapped.checkpoint_key() == spec.checkpoint_key()
 
 
@@ -186,8 +186,8 @@ class TestResume:
 class TestDegraded:
     def test_partial_outcomes_and_errors(self, tmp_path, baseline):
         specs = _specs()
-        specs[1] = wrap_spec(specs[1], ("transient",) * 4,
-                             str(tmp_path))
+        specs[1] = specs[1].with_faults(process=("transient",) * 4,
+                                        chaos_dir=str(tmp_path))
         fleet = run_fleet(specs, jobs=1, retries=1, strict=False,
                           backoff_base=0.0)
         assert not fleet.ok
@@ -200,10 +200,10 @@ class TestDegraded:
 
     def test_max_failures_budget(self, tmp_path):
         specs = _specs()
-        specs[0] = wrap_spec(specs[0], ("transient",) * 4,
-                             str(tmp_path / "a"))
-        specs[1] = wrap_spec(specs[1], ("transient",) * 4,
-                             str(tmp_path / "b"))
+        specs[0] = specs[0].with_faults(process=("transient",) * 4,
+                                        chaos_dir=str(tmp_path / "a"))
+        specs[1] = specs[1].with_faults(process=("transient",) * 4,
+                                        chaos_dir=str(tmp_path / "b"))
         for sub in ("a", "b"):
             os.makedirs(str(tmp_path / sub), exist_ok=True)
         with pytest.raises(FleetExecutionError):
@@ -212,8 +212,8 @@ class TestDegraded:
 
     def test_strict_default_still_raises(self, tmp_path):
         specs = _specs()
-        specs[0] = wrap_spec(specs[0], ("transient",) * 4,
-                             str(tmp_path))
+        specs[0] = specs[0].with_faults(process=("transient",) * 4,
+                                        chaos_dir=str(tmp_path))
         with pytest.raises(FleetExecutionError):
             run_fleet(specs, jobs=1, retries=0, backoff_base=0.0)
 
@@ -230,8 +230,8 @@ class TestDegraded:
 class TestSerialDeadline:
     def test_hang_interrupted_and_recovered(self, tmp_path, baseline):
         specs = _specs()
-        specs[0] = wrap_spec(specs[0], ("hang",), str(tmp_path),
-                             hang_s=30.0)
+        specs[0] = specs[0].with_faults(process=("hang",),
+                                        chaos_dir=str(tmp_path), hang_s=30.0)
         t0 = time.perf_counter()
         fleet = run_fleet(specs, jobs=1, retries=1, timeout_s=2.0,
                           backoff_base=0.0)
@@ -242,8 +242,8 @@ class TestSerialDeadline:
 
     def test_exhausted_timeouts_degrade(self, tmp_path):
         specs = _specs()[:1]
-        specs[0] = wrap_spec(specs[0], ("hang", "hang"), str(tmp_path),
-                             hang_s=30.0)
+        specs[0] = specs[0].with_faults(process=("hang", "hang"),
+                                        chaos_dir=str(tmp_path), hang_s=30.0)
         fleet = run_fleet(specs, jobs=1, retries=1, timeout_s=0.3,
                           strict=False, backoff_base=0.0)
         assert not fleet.ok
@@ -261,15 +261,16 @@ class TestPoolBreakBudget:
         too; now casualties requeue free and only the isolated crasher
         pays."""
         specs = _specs()
-        specs[1] = wrap_spec(specs[1], ("crash", "crash"),
-                             str(tmp_path), hang_s=1.0)
+        specs[1] = specs[1].with_faults(process=("crash", "crash"),
+                                        chaos_dir=str(tmp_path), hang_s=1.0)
         fleet = run_fleet(specs, jobs=3, retries=2, backoff_base=0.01)
         assert fleet.signatures() == baseline.signatures()
         assert fleet.attempts > len(specs)
 
     def test_crasher_alone_is_charged_and_fails(self, tmp_path):
         specs = _specs()[:1]
-        specs[0] = wrap_spec(specs[0], ("crash",) * 5, str(tmp_path))
+        specs[0] = specs[0].with_faults(process=("crash",) * 5,
+                                        chaos_dir=str(tmp_path))
         # Single-target fleets run serially; force the pool path with
         # a second clean target and strict failure on the crasher.
         specs.append(_specs()[1])
@@ -279,7 +280,8 @@ class TestPoolBreakBudget:
 
     def test_degraded_crash_keeps_innocents(self, tmp_path, baseline):
         specs = _specs()
-        specs[2] = wrap_spec(specs[2], ("crash",) * 5, str(tmp_path))
+        specs[2] = specs[2].with_faults(process=("crash",) * 5,
+                                        chaos_dir=str(tmp_path))
         fleet = run_fleet(specs, jobs=3, retries=1, strict=False,
                           backoff_base=0.01)
         assert [e.label for e in fleet.errors] == ["characterize:C1"]

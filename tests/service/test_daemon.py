@@ -11,7 +11,7 @@ import socket as socket_mod
 
 import pytest
 
-from repro.runtime import CampaignSpec, chip_seed, wrap_spec
+from repro.runtime import CampaignSpec, chip_seed
 from repro.service import ServiceConfig, client
 from tests.service.harness import start_daemon, stop_daemon
 
@@ -96,7 +96,8 @@ def test_failing_shard_is_retried_with_backoff(tmp_path):
     specs = _specs(2)
     # retries=0 means the transient fault fails the whole fleet ->
     # the *shard* retry (not the fleet's) must recover it.
-    specs[0] = wrap_spec(specs[0], ("transient",), str(chaos_dir))
+    specs[0] = specs[0].with_faults(process=("transient",),
+                                    chaos_dir=str(chaos_dir))
     proc = start_daemon(sock, state, shard_size=2, retries=0,
                         shard_retries=1)
     try:
@@ -120,9 +121,8 @@ def test_exhausted_tenant_is_degraded_and_locked_out(tmp_path):
     chaos_dir = state / "chaos"
     chaos_dir.mkdir(parents=True)
     doomed = _specs(2)
-    doomed[0] = wrap_spec(doomed[0],
-                          ("transient", "transient", "transient"),
-                          str(chaos_dir))
+    doomed[0] = doomed[0].with_faults(process=("transient",) * 3,
+                                      chaos_dir=str(chaos_dir))
     proc = start_daemon(sock, state, shard_size=2, retries=0,
                         shard_retries=1, max_tenant_failures=0)
     try:

@@ -5,21 +5,20 @@ import json
 
 import pytest
 
-from repro.runtime import CampaignSpec, chip_seed, wrap_spec
-from repro.runtime.chaos import ChaosSpec
+from repro.runtime import CampaignSpec, chip_seed, device_noise_schedule
 from repro.service import campaign_id, spec_from_json, spec_to_json
 from repro.service.protocol import (ProtocolError, error_response,
                                     read_message, record_crc,
                                     write_message)
 
 
-def _spec(vendor="A", **overrides):
+def _spec(vendor="A", cls=CampaignSpec, **overrides):
     fields = dict(experiment="characterize", vendor=vendor, index=1,
                   build_seed=chip_seed(7, vendor, 0, "build"),
                   run_seed=chip_seed(7, vendor, 0, "run"),
                   n_rows=32, sample_size=200, run_sweep=False)
     fields.update(overrides)
-    return CampaignSpec(**fields)
+    return cls(**fields)
 
 
 class TestSpecRoundTrip:
@@ -35,13 +34,13 @@ class TestSpecRoundTrip:
         assert spec_from_json(wire) == spec
 
     def test_chaos_wrapper_crosses_the_wire(self, tmp_path):
-        spec = wrap_spec(_spec(), ("transient",), str(tmp_path),
-                         hang_s=9.0)
+        spec = _spec().with_faults(process=("transient",),
+                                   chaos_dir=str(tmp_path), hang_s=9.0)
         rebuilt = spec_from_json(spec_to_json(spec))
-        assert isinstance(rebuilt, ChaosSpec)
-        assert rebuilt.plan == ("transient",)
-        assert rebuilt.chaos_dir == str(tmp_path)
-        assert rebuilt.hang_s == 9.0
+        assert rebuilt == spec
+        assert rebuilt.faults.process == ("transient",)
+        assert rebuilt.faults.chaos_dir == str(tmp_path)
+        assert rebuilt.faults.hang_s == 9.0
         # Fault plans never join the identity.
         assert rebuilt.checkpoint_key() == _spec().checkpoint_key()
 
@@ -50,6 +49,20 @@ class TestSpecRoundTrip:
         spec = _spec(config=ParborConfig())
         with pytest.raises(ProtocolError, match="config"):
             spec_to_json(spec)
+
+    def test_ecc_specs_are_rejected(self):
+        # Sending one would silently submit the plain campaign.
+        from repro.ecc import EccCampaignSpec
+        spec = _spec(cls=EccCampaignSpec, ecc="recover")
+        with pytest.raises(ProtocolError, match="EccCampaignSpec"):
+            spec_to_json(spec)
+
+    def test_device_noise_plans_are_rejected(self):
+        from repro.dram.faults import NoiseSpec
+        (noisy,) = device_noise_schedule(3, [_spec()],
+                                         NoiseSpec(n_vrt_cells=2))
+        with pytest.raises(ProtocolError, match="noise"):
+            spec_to_json(noisy)
 
     @pytest.mark.parametrize("payload,match", [
         ([], "object"),
@@ -83,7 +96,8 @@ class TestCampaignId:
 
     def test_chaos_wrapping_does_not_change_identity(self, tmp_path):
         specs = [_spec("A"), _spec("B")]
-        wrapped = [wrap_spec(s, ("crash",), str(tmp_path))
+        wrapped = [s.with_faults(process=("crash",),
+                                 chaos_dir=str(tmp_path))
                    for s in specs]
         assert campaign_id("t", wrapped) == campaign_id("t", specs)
 

@@ -21,6 +21,14 @@ class TestParser:
         assert args.vendor == "A"
         assert args.rows == 128
 
+    @pytest.mark.parametrize("flag", ["--ecc", "--ecc-recover"])
+    def test_fleet_rejects_ecc_flags(self, flag, capsys):
+        # fleet never builds an ECC twin, so the flags do not exist.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["fleet", flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestCommands:
     def test_characterize(self, capsys, tmp_path):
