@@ -41,6 +41,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
+from .._kernels import popcount
 from ..core.patterns import checkerboard, solid
 from ..dram.faults import ForcedFlipNoise
 from ..runtime.seeds import ladder_seed
@@ -191,16 +192,31 @@ class EccInferenceReport:
 
 # -- probing --------------------------------------------------------------
 
+def _copies(n_rows: int, n_words: int
+            ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per copy ``k``, the ``(rows, words)`` of every slot's replica.
+
+    Slot ``s`` is word ``s % n_words`` of row ``s // n_words``; copy
+    ``k`` lives at row ``row + k*n_rows/COPIES``, word
+    ``(word + k*n_words/COPIES) % n_words``.
+    """
+    stride = n_rows // COPIES
+    slot_rows = np.repeat(np.arange(stride, dtype=np.int64), n_words)
+    slot_words = np.tile(np.arange(n_words, dtype=np.int64), stride)
+    return [(slot_rows + k * stride,
+             (slot_words + k * (n_words // COPIES)) % n_words)
+            for k in range(COPIES)]
+
+
 def _probe_round(chip, seed: int, *path) -> Tuple[
-        List[Tuple[int, int]], np.ndarray,
-        Dict[Tuple[int, int], FrozenSet[int]]]:
+        List[Tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
     """One probe round: plant replicated triples, read through the ECC.
 
-    Returns ``(slots, triples, observed)``: per slot ``s`` the word
-    coordinate ``(row, word)`` of its primary copy (copy ``k`` lives
-    at row ``row + k*n_rows/COPIES``, word
-    ``(word + k*n_words/COPIES) % n_words``), the planted triple, and
-    the post-ECC in-word error sets of every observed word.
+    Returns ``(copies, triples, observed)``: the :func:`_copies` word
+    coordinates of every slot replica, the planted triple per slot,
+    and the post-ECC error mask of every word as a dense
+    ``(n_rows, n_words)`` ``uint64`` array (bit ``i`` = in-word
+    position ``i`` observed failing).
 
     The copies deliberately sit in *different words and rows* so they
     share no physical cells or columns: decode behavior depends only
@@ -218,21 +234,17 @@ def _probe_round(chip, seed: int, *path) -> Tuple[
     bank = chip.banks[0]
     n_rows, row_bits = bank.n_rows, bank.row_bits
     n_words = row_bits >> 6
-    stride = n_rows // COPIES
-    n_slots = stride * n_words
+    copies = _copies(n_rows, n_words)
     round_idx = path[-1]
 
     rng = np.random.default_rng(ladder_seed(seed, "triples", *path))
-    triples = np.argsort(rng.random((n_slots, 64)), axis=1)[:, :3]
+    triples = np.argsort(rng.random((len(copies[0][0]), 64)),
+                         axis=1)[:, :3]
     triples.sort(axis=1)
 
-    slot_rows = np.repeat(np.arange(stride, dtype=np.int64), n_words)
-    slot_words = np.tile(np.arange(n_words, dtype=np.int64), stride)
-    probe_rows = np.concatenate(
-        [np.repeat(slot_rows + k * stride, 3) for k in range(COPIES)])
+    probe_rows = np.concatenate([np.repeat(r, 3) for r, _ in copies])
     probe_phys = np.concatenate(
-        [(((slot_words + k * (n_words // COPIES)) % n_words)[:, None]
-          * 64 + triples).ravel() for k in range(COPIES)])
+        [(w[:, None] * 64 + triples).ravel() for _, w in copies])
 
     name, background = beer_backgrounds(row_bits, n_rows)[
         int(round_idx) % 4]
@@ -245,15 +257,10 @@ def _probe_round(chip, seed: int, *path) -> Tuple[
         bank.noise = None
 
     obs_phys = bank.mapping.sys_to_phys()[obs_sys]
-    observed: Dict[Tuple[int, int], FrozenSet[int]] = {}
-    grouped: Dict[Tuple[int, int], List[int]] = {}
-    for r, p in zip(obs_rows.tolist(), obs_phys.tolist()):
-        grouped.setdefault((int(r), int(p) >> 6), []).append(int(p) & 63)
-    for key, bits in grouped.items():
-        observed[key] = frozenset(bits)
-
-    slots = list(zip(slot_rows.tolist(), slot_words.tolist()))
-    return slots, triples, observed
+    observed = np.zeros((n_rows, n_words), dtype=np.uint64)
+    np.bitwise_or.at(observed, (obs_rows, obs_phys >> 6),
+                     np.uint64(1) << (obs_phys & 63).astype(np.uint64))
+    return copies, triples, observed
 
 
 def _classify(observed: FrozenSet[int], triple: FrozenSet[int]) -> Tuple:
@@ -266,29 +273,26 @@ def _classify(observed: FrozenSet[int], triple: FrozenSet[int]) -> Tuple:
 
 
 def _paired_outcomes(chip, seed: int, *path):
-    """Replica-confirmed probe outcomes of one round.
+    """Replica-confirmed probe outcomes of one round, in slot order.
 
     A slot's outcome counts only when all :data:`COPIES` decoupled
-    copies classify identically and none is dirty.
+    copies classify identically and none is dirty.  On error masks
+    that is: every copy observed the same mask ``o``, and ``o`` is
+    either the triple ``t`` (detect) or ``t`` plus exactly one more
+    bit (a miscorrection flip onto that bit).
     """
-    slots, triples, observed = _probe_round(chip, seed, *path)
-    bank = chip.banks[0]
-    stride = bank.n_rows // COPIES
-    n_words = bank.row_bits >> 6
-    outcomes = []
-    for s, (row, word) in enumerate(slots):
-        triple = frozenset(int(t) for t in triples[s])
-        classes = {
-            _classify(observed.get(
-                (row + k * stride,
-                 (word + k * (n_words // COPIES)) % n_words),
-                frozenset()), triple)
-            for k in range(COPIES)}
-        if len(classes) == 1:
-            outcome = classes.pop()
-            if outcome[0] != "dirty":
-                outcomes.append((triple, outcome))
-    return outcomes
+    copies, triples, observed = _probe_round(chip, seed, *path)
+    t = np.bitwise_or.reduce(
+        np.uint64(1) << triples.astype(np.uint64), axis=1)
+    o = np.stack([observed[r, w] for r, w in copies])
+    extra = o[0] & ~t
+    confirmed = ((o == o[0]).all(axis=0) & ((o[0] & t) == t)
+                 & (popcount(extra) <= 1))
+    keep = np.flatnonzero(confirmed)
+    return [(frozenset(triple),
+             ("flip", e.bit_length() - 1) if e else ("detect",))
+            for triple, e in zip(triples[keep].tolist(),
+                                 extra[keep].tolist())]
 
 
 def infer_ecc(chip, seed: int, max_rounds: int = 24) -> InferredEcc:

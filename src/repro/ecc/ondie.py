@@ -37,8 +37,9 @@ from typing import List, Optional, Set, Tuple
 import numpy as np
 
 from .. import obs
-from .secded import (CORRECTED, CORRECTED_CHECK, DETECTED, HammingSecDed,
-                     MISCORRECTED, UNDETECTED, decode_with_tables)
+from .._kernels import unpack_rows
+from .secded import (CLEAN, CORRECTED, CORRECTED_CHECK, DETECTED,
+                     HammingSecDed, decode_with_tables)
 
 __all__ = ["OnDieEcc", "attach_on_die_ecc"]
 
@@ -78,20 +79,6 @@ class OnDieEcc:
                        "ambiguous_cells": 0}
         self._flushed = dict(self.counts)
 
-    def transform(self, rows: np.ndarray, phys: np.ndarray,
-                  row_bits: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Map a physical error *set* to the post-stage cell set.
-
-        Thin wrapper over :meth:`transform_read` for callers that hold
-        each erroneous cell exactly once and carry no forced-noise
-        coordinates (tests, analysis).  The bank's read path calls
-        :meth:`transform_read` directly with the raw event stream.
-        """
-        empty = np.empty(0, dtype=np.int64)
-        out_rows, out_phys, _, _ = self.transform_read(
-            rows, phys, empty, empty, row_bits)
-        return out_rows, out_phys
-
     def transform_read(self, rows: np.ndarray, phys: np.ndarray,
                        noise_rows: np.ndarray, noise_phys: np.ndarray,
                        row_bits: int
@@ -106,15 +93,16 @@ class OnDieEcc:
         is the odd-count event cells unioned with its noise cells.
 
         Lens mode replaces each word's inputs with the decoded
-        post-correction cell set (each cell once, no noise).  Recovery
-        mode is **event-preserving**: a word whose pre-image is
-        recovered exactly passes its raw events and noise through
-        *verbatim* - order, multiplicity and the event/noise split
-        included - so a fully recovered read is byte-identical to the
-        ECC-off channel for every downstream consumer.  Only words the
-        inversion cannot pin down are edited: their inputs are
-        dropped, the provably-real cells are emitted once each, and
-        the uncertain cells land in :attr:`ambiguous` for quarantine.
+        post-correction cell set (each cell once, no noise), emitted
+        word-ascending then bit-ascending.  Recovery mode is
+        **event-preserving**: a word whose pre-image is recovered
+        exactly passes its raw events and noise through *verbatim* -
+        order, multiplicity and the event/noise split included - so a
+        fully recovered read is byte-identical to the ECC-off channel
+        for every downstream consumer.  Only words the inversion
+        cannot pin down are edited: their inputs are dropped, the
+        provably-real cells are emitted once each, and the uncertain
+        cells land in :attr:`ambiguous` for quarantine.
         """
         if self.code is None or (not len(rows) and not len(noise_rows)):
             return rows, phys, noise_rows, noise_phys
@@ -127,29 +115,82 @@ class OnDieEcc:
         noise_phys = noise_phys.astype(np.int64, copy=False)
         ekey = rows * n_words + (phys >> np.int64(6))
         nkey = noise_rows * n_words + (noise_phys >> np.int64(6))
+        if self._rec_tables is None:
+            out = self._lens(ekey, phys, nkey, noise_phys, n_words)
+        else:
+            out = self._recover(rows, phys, noise_rows, noise_phys,
+                                ekey, nkey, n_words)
+        if obs.enabled():
+            for name, value in self.counts.items():
+                delta = value - self._flushed[name]
+                if delta:
+                    obs.inc(f"profile.ecc.{name}", delta)
+                self._flushed[name] = value
+        return out
+
+    def _lens(self, ekey: np.ndarray, phys: np.ndarray, nkey: np.ndarray,
+              noise_phys: np.ndarray, n_words: np.int64
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Lens mode: one packed decode over every touched word.
+
+        Each word's physical error set is folded into a ``uint64``
+        mask (events XOR, then noise OR).  Check bits never decay, so
+        the received syndrome of a word is its error mask's data-word
+        syndrome, and :meth:`HammingSecDed.decode_words` against zero
+        check bytes returns the post-correction error mask directly.
+        """
+        one = np.uint64(1)
+        words, inv = np.unique(np.concatenate([ekey, nkey]),
+                               return_inverse=True)
+        masks = np.zeros(len(words), dtype=np.uint64)
+        if len(ekey):
+            np.bitwise_xor.at(masks, inv[:len(ekey)],
+                              one << (phys & 63).astype(np.uint64))
+        if len(nkey):
+            np.bitwise_or.at(masks, inv[len(ekey):],
+                             one << (noise_phys & 63).astype(np.uint64))
+        live = masks != 0
+        words, masks = words[live], masks[live]
+        observed, status = self.code.decode_words(
+            masks, np.zeros(len(masks), dtype=np.uint8))
+        c = self.counts
+        c["words"] += len(masks)
+        # The decoder flips at most one bit per word, so each word
+        # masks or fabricates at most one cell.
+        c["masked"] += np.count_nonzero(masks & ~observed)
+        c["miscorrections"] += np.count_nonzero(observed & ~masks)
+        by_status = np.bincount(status, minlength=DETECTED + 1)
+        c["corrected_words"] += int(by_status[CORRECTED])
+        c["detected_words"] += int(by_status[DETECTED]
+                                   + by_status[CORRECTED_CHECK])
+        c["undetected"] += int(by_status[CLEAN])
+        hit = observed != 0
+        w_idx, bit = np.nonzero(unpack_rows(observed[hit, None], 64))
+        key = words[hit][w_idx]
+        empty = np.empty(0, dtype=np.int64)
+        return (key // n_words, ((key % n_words) << np.int64(6)) + bit,
+                empty, empty)
+
+    def _recover(self, rows: np.ndarray, phys: np.ndarray,
+                 noise_rows: np.ndarray, noise_phys: np.ndarray,
+                 ekey: np.ndarray, nkey: np.ndarray, n_words: np.int64
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Recovery mode: invert each multi-input word separately."""
         words, wcounts = np.unique(np.concatenate([ekey, nkey]),
                                    return_counts=True)
-        recover = self._rec_tables is not None
         c = self.counts
-        keep_events = np.full(len(rows), recover)
-        keep_noise = np.full(len(noise_rows), recover)
+        keep_events = np.ones(len(rows), dtype=bool)
+        keep_noise = np.ones(len(noise_rows), dtype=bool)
         add_rows: List[np.ndarray] = []
         add_phys: List[np.ndarray] = []
 
-        # Fast path: words with a single input are a single-cell error
-        # set.  Lens: always corrected away (masking).  Recovery:
-        # always uniquely inverted (the companion passes turn it into
-        # a 2-error, hence detected-not-corrected, word).
-        single = wcounts == 1
-        n_single = int(single.sum())
+        # Fast path: a word with a single input is a single-cell error
+        # set, always uniquely inverted (the companion passes turn it
+        # into a 2-error, hence detected-not-corrected, word).
+        n_single = int((wcounts == 1).sum())
         c["words"] += n_single
-        if n_single:
-            if recover:
-                c["recovered_words"] += n_single
-            else:
-                c["masked"] += n_single
-                c["corrected_words"] += n_single
-        multi = words[~single]
+        c["recovered_words"] += n_single
+        multi = words[wcounts != 1]
         if len(multi):
             eorder = np.argsort(ekey, kind="stable")
             norder = np.argsort(nkey, kind="stable")
@@ -165,51 +206,27 @@ class OnDieEcc:
                 odd = np.bincount(phys[ei] & 63, minlength=64) & 1
                 errs = set(np.flatnonzero(odd).tolist())
                 errs.update((noise_phys[ni] & 63).tolist())
-                if recover:
-                    if not errs:
-                        # Every event cancelled: the device saw a clean
-                        # word, the inversion is trivially exact, and
-                        # the raw events pass through verbatim.
-                        continue
-                    c["words"] += 1
-                    reals, unsure = self._recover_word(frozenset(errs))
-                    if not unsure:
-                        c["recovered_words"] += 1
-                        continue
-                    c["ambiguous_cells"] += len(unsure)
-                    for p in unsure:
-                        self.ambiguous.add((row, word_base + p))
-                    keep_events[ei] = False
-                    keep_noise[ni] = False
-                    kept = reals
-                else:
-                    if not errs:
-                        continue
-                    c["words"] += 1
-                    observed, status = self.code.decode_error_set(
-                        frozenset(errs))
-                    c["masked"] += len(errs - observed)
-                    c["miscorrections"] += len(observed - errs)
-                    if status in (CORRECTED, MISCORRECTED):
-                        c["corrected_words"] += 1
-                    elif status in (DETECTED, CORRECTED_CHECK):
-                        c["detected_words"] += 1
-                    elif status == UNDETECTED:
-                        c["undetected"] += 1
-                    kept = observed
-                if kept:
-                    pos = np.fromiter(
-                        (word_base + p for p in sorted(kept)),
-                        dtype=np.int64, count=len(kept))
-                    add_rows.append(np.full(len(kept), row,
+                if not errs:
+                    # Every event cancelled: the device saw a clean
+                    # word, the inversion is trivially exact, and the
+                    # raw events pass through verbatim.
+                    continue
+                c["words"] += 1
+                reals, unsure = self._recover_word(frozenset(errs))
+                if not unsure:
+                    c["recovered_words"] += 1
+                    continue
+                c["ambiguous_cells"] += len(unsure)
+                for p in unsure:
+                    self.ambiguous.add((row, word_base + p))
+                keep_events[ei] = False
+                keep_noise[ni] = False
+                if reals:
+                    add_rows.append(np.full(len(reals), row,
                                             dtype=np.int64))
-                    add_phys.append(pos)
-        if obs.enabled():
-            for name, value in self.counts.items():
-                delta = value - self._flushed[name]
-                if delta:
-                    obs.inc(f"profile.ecc.{name}", delta)
-                self._flushed[name] = value
+                    add_phys.append(np.fromiter(
+                        (word_base + p for p in sorted(reals)),
+                        dtype=np.int64, count=len(reals)))
         out_rows = rows[keep_events]
         out_phys = phys[keep_events]
         if add_rows:

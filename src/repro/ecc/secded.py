@@ -19,10 +19,14 @@ never match a column: double errors are always detected, never
 a data column - the miscorrection mechanism the on-die ECC lens
 injects and the BEER probes exploit.
 
-Two implementations are kept deliberately independent and tested
-byte-identical: the packed path computes check bytes and syndromes
-with word-wise masks over the ``repro._kernels`` ``uint64`` substrate,
-while the reference path XORs ``H`` columns of set bits one by one.
+The packed path works on arrays of ``uint64`` data words: a word's
+data syndrome is the XOR of eight byte-indexed lookups into a
+per-code ``8 x 256`` table, and decoding maps each syndrome byte to
+a status and a flip mask.  It is the only production decoder; the
+on-die lens decodes every touched word of a read through it in one
+call.  ``tests/oracle.py`` holds the independent reference (XOR the
+``H`` columns of set bits one by one) that the packed path is tested
+byte-identical against.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from typing import FrozenSet, Iterable, Tuple
 
 import numpy as np
 
-from .._kernels import popcount
 from ..runtime.seeds import ladder_seed
 
 __all__ = ["HammingSecDed", "decode_with_tables", "CANDIDATE_COLUMNS",
@@ -62,6 +65,12 @@ NO_MATCH = -1
 CHECK_COLUMN = -2
 
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+#: Check byte -> its syndrome contribution: the XOR of the check
+#: columns of its set bits (low 7 bits verbatim, bit 7 its parity).
+_CHECK_SYNDROMES = ((np.arange(256) & 0x7F)
+                    | ((_POP8 & 1) << 7)).astype(np.uint8)
+_BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
+_BYTE_OFFSETS = np.arange(0, 8 * 256, 256, dtype=np.intp)
 
 
 def decode_with_tables(errors: FrozenSet[int], columns: Tuple[int, ...],
@@ -173,6 +182,19 @@ class HammingSecDed:
             table[col] = CHECK_COLUMN
         return table
 
+    @cached_property
+    def _syndrome_actions(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per syndrome byte, the decoder's status and the ``uint64``
+        data-bit mask it flips."""
+        status = np.full(256, DETECTED, dtype=np.uint8)
+        status[0] = CLEAN
+        status[self.lookup == CHECK_COLUMN] = CORRECTED_CHECK
+        data = self.lookup >= 0
+        status[data] = CORRECTED
+        fix = np.zeros(256, dtype=np.uint64)
+        fix[data] = np.uint64(1) << self.lookup[data].astype(np.uint64)
+        return status, fix
+
     def matrix(self) -> np.ndarray:
         """``H`` as a dense 0/1 array of shape (8, 72)."""
         cols = np.array(self.data_columns + self.check_columns,
@@ -182,37 +204,47 @@ class HammingSecDed:
 
     # -- packed paths (word-wise, vectorised) -------------------------
 
+    @cached_property
+    def _byte_syndromes(self) -> np.ndarray:
+        """Flat ``8 * 256`` table: entry ``256*i + v`` is the data
+        syndrome of byte value ``v`` at byte ``i`` of a word (the XOR
+        of the ``H`` columns of its set bits)."""
+        cols = np.array(self.data_columns, dtype=np.uint8).reshape(8, 8)
+        bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+        table = np.zeros((8, 256), dtype=np.uint8)
+        for b in range(8):
+            table ^= np.where(bits[:, b] == 1, cols[:, b, None],
+                              0).astype(np.uint8)
+        return table.ravel()
+
+    def _data_syndromes(self, words: np.ndarray) -> np.ndarray:
+        """Per word, the XOR of the ``H`` columns of its set data bits.
+
+        Eight byte-indexed table lookups per word; bit 7 of the result
+        is the word's parity, since every data column sets it.
+        """
+        by = ((np.asarray(words, dtype=np.uint64)[..., None]
+               >> _BYTE_SHIFTS) & np.uint64(0xFF)).astype(np.intp)
+        return np.bitwise_xor.reduce(
+            self._byte_syndromes[by + _BYTE_OFFSETS], axis=-1)
+
     def encode_words(self, words: np.ndarray) -> np.ndarray:
         """Check bytes for an array of 64-bit data words.
 
-        ``c_k = parity(word & row_masks[k])`` for ``k < 7``; the
-        overall-parity check bit closes row 7 over all 72 positions:
-        ``c_7 = parity(word) ^ parity(c_0..c_6)``.
+        The check byte cancels the data syndrome ``sd``: ``c_k = sd_k``
+        for ``k < 7``, and the overall-parity check bit closes row 7
+        over all 72 positions: ``c_7 = sd_7 ^ parity(c_0..c_6)``.
         """
-        words = np.asarray(words, dtype=np.uint64)
-        checks = np.zeros(words.shape, dtype=np.uint8)
-        for k in range(7):
-            bit = (popcount(words & self.row_masks[k])
-                   & np.uint64(1)).astype(np.uint8)
-            checks |= bit << np.uint8(k)
-        total = (popcount(words) & np.uint64(1)).astype(np.uint8)
-        c7 = (total + _POP8[checks]) & np.uint8(1)
-        return checks | (c7 << np.uint8(7))
+        sd = self._data_syndromes(words)
+        low = sd & np.uint8(0x7F)
+        return low | (((sd >> np.uint8(7)) ^ _POP8[low]) & np.uint8(1)
+                      ) << np.uint8(7)
 
     def syndrome_words(self, words: np.ndarray, checks: np.ndarray
                        ) -> np.ndarray:
         """Received syndromes of stored (data word, check byte) pairs."""
-        words = np.asarray(words, dtype=np.uint64)
-        checks = np.asarray(checks, dtype=np.uint8)
-        synd = np.zeros(words.shape, dtype=np.uint8)
-        for k in range(7):
-            data_par = (popcount(words & self.row_masks[k])
-                        & np.uint64(1)).astype(np.uint8)
-            stored = (checks >> np.uint8(k)) & np.uint8(1)
-            synd |= (data_par ^ stored) << np.uint8(k)
-        total = (popcount(words) & np.uint64(1)).astype(np.uint8)
-        s7 = (total + _POP8[checks]) & np.uint8(1)
-        return synd | (s7 << np.uint8(7))
+        return self._data_syndromes(words) ^ _CHECK_SYNDROMES[
+            np.asarray(checks, dtype=np.uint8)]
 
     def decode_words(self, words: np.ndarray, checks: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray]:
@@ -224,68 +256,11 @@ class HammingSecDed:
         :data:`MISCORRECTED` only appears in ground-truth-aware
         classification such as :meth:`decode_error_set`.
         """
-        words = np.asarray(words, dtype=np.uint64)
         synd = self.syndrome_words(words, checks)
-        status = np.where(synd == 0, CLEAN, DETECTED).astype(np.uint8)
-        match = self.lookup[synd]
-        data_fix = match >= 0
-        status[data_fix] = CORRECTED
-        status[match == CHECK_COLUMN] = CORRECTED_CHECK
-        out = words.copy()
-        if data_fix.any():
-            out[data_fix] ^= np.uint64(1) << match[data_fix].astype(
-                np.uint64)
-        return out, status
+        status, fix = self._syndrome_actions
+        return np.asarray(words, dtype=np.uint64) ^ fix[synd], status[synd]
 
-    # -- reference path (column-by-column, independent) ---------------
-
-    def encode_ref(self, bits: np.ndarray) -> np.ndarray:
-        """Reference encode from dense 0/1 bit rows of shape (n, 64).
-
-        Derives the check byte from the column representation alone:
-        the data syndrome ``sd`` is the XOR of the columns of set data
-        bits, and the check byte must cancel it - ``c_j = sd_j`` for
-        ``j < 7`` and ``c_7 = sd_7 ^ parity(c_0..c_6)``.
-        """
-        bits = np.asarray(bits, dtype=np.uint8)
-        out = np.zeros(len(bits), dtype=np.uint8)
-        for i, row in enumerate(bits):
-            sd = 0
-            for p in np.flatnonzero(row):
-                sd ^= self.data_columns[int(p)]
-            low = sd & 0x7F
-            c7 = ((sd >> 7) ^ bin(low).count("1")) & 1
-            out[i] = low | (c7 << 7)
-        return out
-
-    def decode_ref(self, bits: np.ndarray, checks: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-        """Reference decode over dense 0/1 bit rows of shape (n, 64)."""
-        bits = np.asarray(bits, dtype=np.uint8)
-        out = bits.copy()
-        status = np.zeros(len(bits), dtype=np.uint8)
-        for i, row in enumerate(bits):
-            syndrome = 0
-            for p in np.flatnonzero(row):
-                syndrome ^= self.data_columns[int(p)]
-            c = int(checks[i])
-            for j in range(CHECK_BITS):
-                if (c >> j) & 1:
-                    syndrome ^= self.check_columns[j]
-            if syndrome == 0:
-                status[i] = CLEAN
-                continue
-            match = int(self.lookup[syndrome])
-            if match >= 0:
-                out[i, match] ^= 1
-                status[i] = CORRECTED
-            elif match == CHECK_COLUMN:
-                status[i] = CORRECTED_CHECK
-            else:
-                status[i] = DETECTED
-        return out, status
-
-    # -- error-set decode (the on-die lens primitive) -----------------
+    # -- error-set decode (recovery and BEER prediction) ---------------
 
     def decode_error_set(self, errors: Iterable[int]
                          ) -> Tuple[FrozenSet[int], int]:

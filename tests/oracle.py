@@ -1,4 +1,4 @@
-"""Executable specification of the DRAM substrate (test-side oracle).
+"""Executable specification of the DRAM substrate and ECC (test oracle).
 
 The production substrate (:mod:`repro.dram.bank`,
 :mod:`repro.dram.cells`) runs every hot operation once, as word-wise
@@ -32,20 +32,38 @@ consumption and campaign signatures.
 
 :func:`injected_cells` is the ground truth of a device-noise fault
 plan, for the chaos suite's quarantine assertions.
+
+The on-die ECC stage has its oracles here too, for
+``tests/ecc/test_packed_differential.py`` and
+``tests/ecc/test_secded.py``: :func:`lens_transform_read` decodes a
+read word by word with ``decode_error_set``,
+:func:`beer_probe_round` / :func:`beer_paired_outcomes` group and
+classify BEER probe observations as dicts of frozensets, and
+:func:`encode_ref` / :func:`decode_ref` XOR ``H`` columns bit by bit.
 """
 
 from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro._kernels import WORD_BITS, pack_rows, unpack_rows
 from repro.dram.bank import Bank
 from repro.dram.cells import NO_NEIGHBOUR, CoupledCellPopulation
+from repro.dram.faults import ForcedFlipNoise
+from repro.ecc.beer import COPIES, _classify, beer_backgrounds
+from repro.ecc.ondie import OnDieEcc
+from repro.ecc.secded import (CHECK_BITS, CHECK_COLUMN, CLEAN, CORRECTED,
+                              CORRECTED_CHECK, DETECTED, MISCORRECTED,
+                              UNDETECTED, HammingSecDed)
+from repro.runtime.seeds import ladder_seed
 
 __all__ = ["write_rows", "write_rows_patched", "evaluate_failures",
            "retention_read_rows", "retention_check_cells",
-           "oracle_substrate", "injected_cells"]
+           "oracle_substrate", "injected_cells", "lens_transform_read",
+           "beer_probe_round", "beer_paired_outcomes", "encode_ref",
+           "decode_ref"]
 
 
 # -- write ----------------------------------------------------------------
@@ -275,3 +293,230 @@ def injected_cells(spec) -> set:
                 (chip_idx, bank_idx, int(r), int(c))
                 for r, c in zip(rows.tolist(), sys_cols.tolist()))
     return coords
+
+
+# -- on-die ECC lens --------------------------------------------------------
+
+
+def lens_transform_read(ecc: OnDieEcc, rows: np.ndarray, phys: np.ndarray,
+                        noise_rows: np.ndarray, noise_phys: np.ndarray,
+                        row_bits: int
+                        ) -> Tuple[np.ndarray, np.ndarray,
+                                   np.ndarray, np.ndarray]:
+    """Per-word image of lens-mode :meth:`OnDieEcc.transform_read`.
+
+    Groups the inputs by 64-bit word, derives each multi-input word's
+    error set (odd-count events unioned with noise), decodes it with
+    :meth:`HammingSecDed.decode_error_set` and emits its
+    post-correction cells.  Single-input words are a single-cell
+    error set, always corrected away.  Updates ``ecc.counts`` and
+    flushes the ``profile.ecc.*`` obs counters like the stage does.
+    """
+    assert ecc.recovery is None, "lens oracle only"
+    if ecc.code is None or (not len(rows) and not len(noise_rows)):
+        return rows, phys, noise_rows, noise_phys
+    if row_bits % 64:
+        raise ValueError("on-die ECC needs row_bits % 64 == 0")
+    n_words = np.int64(row_bits >> 6)
+    rows = rows.astype(np.int64, copy=False)
+    phys = phys.astype(np.int64, copy=False)
+    noise_rows = noise_rows.astype(np.int64, copy=False)
+    noise_phys = noise_phys.astype(np.int64, copy=False)
+    ekey = rows * n_words + (phys >> np.int64(6))
+    nkey = noise_rows * n_words + (noise_phys >> np.int64(6))
+    words, wcounts = np.unique(np.concatenate([ekey, nkey]),
+                               return_counts=True)
+    c = ecc.counts
+    add_rows: List[np.ndarray] = []
+    add_phys: List[np.ndarray] = []
+
+    single = wcounts == 1
+    n_single = int(single.sum())
+    c["words"] += n_single
+    if n_single:
+        c["masked"] += n_single
+        c["corrected_words"] += n_single
+    multi = words[~single]
+    if len(multi):
+        eorder = np.argsort(ekey, kind="stable")
+        norder = np.argsort(nkey, kind="stable")
+        ekey_s = ekey[eorder]
+        nkey_s = nkey[norder]
+        for w in multi.tolist():
+            ei = eorder[np.searchsorted(ekey_s, w, "left"):
+                        np.searchsorted(ekey_s, w, "right")]
+            ni = norder[np.searchsorted(nkey_s, w, "left"):
+                        np.searchsorted(nkey_s, w, "right")]
+            row = int(w // n_words)
+            word_base = int(w % n_words) << 6
+            odd = np.bincount(phys[ei] & 63, minlength=64) & 1
+            errs = set(np.flatnonzero(odd).tolist())
+            errs.update((noise_phys[ni] & 63).tolist())
+            if not errs:
+                continue
+            c["words"] += 1
+            observed, status = ecc.code.decode_error_set(frozenset(errs))
+            c["masked"] += len(errs - observed)
+            c["miscorrections"] += len(observed - errs)
+            if status in (CORRECTED, MISCORRECTED):
+                c["corrected_words"] += 1
+            elif status in (DETECTED, CORRECTED_CHECK):
+                c["detected_words"] += 1
+            elif status == UNDETECTED:
+                c["undetected"] += 1
+            if observed:
+                pos = np.fromiter(
+                    (word_base + p for p in sorted(observed)),
+                    dtype=np.int64, count=len(observed))
+                add_rows.append(np.full(len(observed), row,
+                                        dtype=np.int64))
+                add_phys.append(pos)
+    if obs.enabled():
+        for name, value in ecc.counts.items():
+            delta = value - ecc._flushed[name]
+            if delta:
+                obs.inc(f"profile.ecc.{name}", delta)
+            ecc._flushed[name] = value
+    none = np.zeros(len(rows), dtype=bool)
+    out_rows = rows[none]
+    out_phys = phys[none]
+    if add_rows:
+        out_rows = np.concatenate([out_rows, *add_rows])
+        out_phys = np.concatenate([out_phys, *add_phys])
+    no_noise = np.zeros(len(noise_rows), dtype=bool)
+    return (out_rows, out_phys,
+            noise_rows[no_noise], noise_phys[no_noise])
+
+
+# -- BEER probing -----------------------------------------------------------
+
+
+def beer_probe_round(chip, seed: int, *path) -> Tuple[
+        List[Tuple[int, int]], np.ndarray,
+        Dict[Tuple[int, int], FrozenSet[int]]]:
+    """Dict-of-frozensets image of :func:`repro.ecc.beer._probe_round`.
+
+    Returns ``(slots, triples, observed)``: per slot ``s`` the word
+    coordinate ``(row, word)`` of its primary copy, the planted
+    triple, and the post-ECC in-word error sets of every observed
+    word.
+    """
+    from repro.core.detector import controllers_for
+    from repro.robust.vote import reseed_banks
+
+    bank = chip.banks[0]
+    n_rows, row_bits = bank.n_rows, bank.row_bits
+    n_words = row_bits >> 6
+    stride = n_rows // COPIES
+    n_slots = stride * n_words
+    round_idx = path[-1]
+
+    rng = np.random.default_rng(ladder_seed(seed, "triples", *path))
+    triples = np.argsort(rng.random((n_slots, 64)), axis=1)[:, :3]
+    triples.sort(axis=1)
+
+    slot_rows = np.repeat(np.arange(stride, dtype=np.int64), n_words)
+    slot_words = np.tile(np.arange(n_words, dtype=np.int64), stride)
+    probe_rows = np.concatenate(
+        [np.repeat(slot_rows + k * stride, 3) for k in range(COPIES)])
+    probe_phys = np.concatenate(
+        [(((slot_words + k * (n_words // COPIES)) % n_words)[:, None]
+          * 64 + triples).ravel() for k in range(COPIES)])
+
+    name, background = beer_backgrounds(row_bits, n_rows)[
+        int(round_idx) % 4]
+    reseed_banks(controllers_for(chip), seed, "beer", *path)
+    bank.write_rows(np.arange(n_rows), background)
+    bank.noise = ForcedFlipNoise(probe_rows, probe_phys)
+    try:
+        obs_rows, obs_sys = bank.retention_failures()
+    finally:
+        bank.noise = None
+
+    obs_phys = bank.mapping.sys_to_phys()[obs_sys]
+    observed: Dict[Tuple[int, int], FrozenSet[int]] = {}
+    grouped: Dict[Tuple[int, int], List[int]] = {}
+    for r, p in zip(obs_rows.tolist(), obs_phys.tolist()):
+        grouped.setdefault((int(r), int(p) >> 6), []).append(int(p) & 63)
+    for key, bits in grouped.items():
+        observed[key] = frozenset(bits)
+
+    slots = list(zip(slot_rows.tolist(), slot_words.tolist()))
+    return slots, triples, observed
+
+
+def beer_paired_outcomes(chip, seed: int, *path):
+    """Per-slot image of :func:`repro.ecc.beer._paired_outcomes`.
+
+    A slot's outcome counts only when all ``COPIES`` decoupled copies
+    classify identically and none is dirty.
+    """
+    slots, triples, observed = beer_probe_round(chip, seed, *path)
+    bank = chip.banks[0]
+    stride = bank.n_rows // COPIES
+    n_words = bank.row_bits >> 6
+    outcomes = []
+    for s, (row, word) in enumerate(slots):
+        triple = frozenset(int(t) for t in triples[s])
+        classes = {
+            _classify(observed.get(
+                (row + k * stride,
+                 (word + k * (n_words // COPIES)) % n_words),
+                frozenset()), triple)
+            for k in range(COPIES)}
+        if len(classes) == 1:
+            outcome = classes.pop()
+            if outcome[0] != "dirty":
+                outcomes.append((triple, outcome))
+    return outcomes
+
+
+# -- SEC-DED reference path ---------------------------------------------------
+
+
+def encode_ref(code: HammingSecDed, bits: np.ndarray) -> np.ndarray:
+    """Reference encode from dense 0/1 bit rows of shape (n, 64).
+
+    Derives the check byte from the column representation alone: the
+    data syndrome ``sd`` is the XOR of the columns of set data bits,
+    and the check byte must cancel it - ``c_j = sd_j`` for ``j < 7``
+    and ``c_7 = sd_7 ^ parity(c_0..c_6)``.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    out = np.zeros(len(bits), dtype=np.uint8)
+    for i, row in enumerate(bits):
+        sd = 0
+        for p in np.flatnonzero(row):
+            sd ^= code.data_columns[int(p)]
+        low = sd & 0x7F
+        c7 = ((sd >> 7) ^ bin(low).count("1")) & 1
+        out[i] = low | (c7 << 7)
+    return out
+
+
+def decode_ref(code: HammingSecDed, bits: np.ndarray, checks: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Reference decode over dense 0/1 bit rows of shape (n, 64)."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    out = bits.copy()
+    status = np.zeros(len(bits), dtype=np.uint8)
+    for i, row in enumerate(bits):
+        syndrome = 0
+        for p in np.flatnonzero(row):
+            syndrome ^= code.data_columns[int(p)]
+        c = int(checks[i])
+        for j in range(CHECK_BITS):
+            if (c >> j) & 1:
+                syndrome ^= code.check_columns[j]
+        if syndrome == 0:
+            status[i] = CLEAN
+            continue
+        match = int(code.lookup[syndrome])
+        if match >= 0:
+            out[i, match] ^= 1
+            status[i] = CORRECTED
+        elif match == CHECK_COLUMN:
+            status[i] = CORRECTED_CHECK
+        else:
+            status[i] = DETECTED
+    return out, status
