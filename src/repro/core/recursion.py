@@ -115,56 +115,50 @@ def _group_victims(sample: VictimSample, active: np.ndarray
     return groups
 
 
-def _run_region_test(controllers: Sequence[MemoryController],
-                     groups: Dict[Tuple[int, int], _RowGroup],
-                     sub_abs: np.ndarray, covered: np.ndarray,
-                     sample: VictimSample, region_size: int,
-                     revote: bool = False) -> np.ndarray:
-    """Execute one logical test; return per-victim failure mask.
+def _run_region_tests(controllers: Sequence[MemoryController],
+                      groups: Dict[Tuple[int, int], _RowGroup],
+                      tests: Sequence[Tuple[np.ndarray, np.ndarray]],
+                      region_size: int, revote: bool = False
+                      ) -> np.ndarray:
+    """Execute logical tests; return per-test, per-victim failure masks.
+
+    One :meth:`MemoryController.test_regions` kernel per (chip, bank)
+    runs every test that covers at least one of the bank's victims -
+    a bank a test does not cover sees no write, wait or RNG draw for
+    it.  Tests only write rows and never read each other's results,
+    and banks have independent RNG streams, so running a level bank
+    by bank is the same experiment as running it test by test.
 
     Args:
         controllers: one per chip.
         groups: victims grouped by (chip, bank).
-        sub_abs: per-victim absolute subregion index (global sample
-            indexing; only entries where ``covered`` is True matter).
-        covered: per-victim mask - False where the candidate region
-            falls outside the row for that victim.
-        sample: the victim sample (for columns).
+        tests: ``(sub_abs, covered)`` per logical test - the
+            per-victim absolute subregion index (global sample
+            indexing; only entries where ``covered`` is True matter)
+            and the mask of victims whose candidate region falls
+            inside the row.
         region_size: bits per subregion at this level.
-        revote: the test runs on a fresh reseeded re-vote stream, so
+        revote: the tests run on a fresh reseeded re-vote stream, so
             the coupled-cell evaluation may be restricted to the
             tested rows (a large saving when re-voting a handful of
             victims).
     """
-    failed = np.zeros(len(sample), dtype=bool)
+    sub_abs = np.stack([t[0] for t in tests])
+    covered = np.stack([t[1] for t in tests])
+    failed = np.zeros(covered.shape, dtype=bool)
     for (chip_idx, bank_idx), group in groups.items():
         vi = group.victim_idx
-        use = covered[vi]
-        if not use.any():
+        use = covered[:, vi]
+        run = np.flatnonzero(use.any(axis=1))
+        if not len(run):
             continue
-        ctrl = controllers[chip_idx]
-        starts = sub_abs[vi[use]] * region_size
-        rows_of = group.row_pos[use]
-
-        # Express the test as background + patches (every covered
-        # victim's subregion zeroed in its own row, victim bits at the
-        # opposite value) and verify only the victim cells against the
-        # sparse retention flips - no whole-row scrambling or read-back
-        # materialisation.  A flip mask is "read != written", for both
-        # polarities.
-        flip_pos = ctrl.test_rows_patched(
-            bank_idx, group.unique_rows, base=1,
-            spans=(rows_of, starts, region_size, 0),
-            points=(group.row_pos, group.cols, 1),
-            check_row_idx=group.row_pos, check_cols=group.cols,
-            coupled_rows_only=revote)
-        flip_inv = ctrl.test_rows_patched(
-            bank_idx, group.unique_rows, base=0,
-            spans=(rows_of, starts, region_size, 1),
-            points=(group.row_pos, group.cols, 0),
-            check_row_idx=group.row_pos, check_cols=group.cols,
-            coupled_rows_only=revote)
-        failed[vi] |= (flip_pos | flip_inv) & use[...]
+        # Every covered victim's subregion is flipped in its own row,
+        # victim bits held at the opposite value; only the victim
+        # cells are verified.
+        starts = np.where(use[run], sub_abs[run][:, vi] * region_size, -1)
+        failed[run[:, None], vi] = controllers[chip_idx].test_regions(
+            bank_idx, group.unique_rows, (group.row_pos, group.cols),
+            starts, region_size, coupled_rows_only=revote)
     return failed
 
 
@@ -192,8 +186,8 @@ def _filter_groups(groups: Dict[Tuple[int, int], _RowGroup],
 def _revote_region(controllers: Sequence[MemoryController],
                    groups: Dict[Tuple[int, int], _RowGroup],
                    sub_abs: np.ndarray, covered: np.ndarray,
-                   sample: VictimSample, region_size: int,
-                   candidates: np.ndarray, policy, seed: int,
+                   region_size: int, candidates: np.ndarray, policy,
+                   seed: int,
                    path: Tuple[int, ...]) -> np.ndarray:
     """Re-vote selected failure observations of one region test.
 
@@ -245,9 +239,9 @@ def _revote_region(controllers: Sequence[MemoryController],
         sub_groups = _filter_groups(groups, undecided)
         reseed_banks(controllers, seed, "robust.recursion", *path, rep,
                      only=sub_groups.keys())
-        again = _run_region_test(controllers, sub_groups, sub_abs,
-                                 covered, sample, region_size,
-                                 revote=True)
+        again = _run_region_tests(controllers, sub_groups,
+                                  [(sub_abs, covered)], region_size,
+                                  revote=True)[0]
         counts += (again & undecided)
     for bank, rng, leaky, noise_rng in saved:
         bank._rng = rng
@@ -269,9 +263,9 @@ CORROBORATION_FLOOR = 3
 
 def _revote_uncorroborated(controllers: Sequence[MemoryController],
                            groups: Dict[Tuple[int, int], _RowGroup],
-                           sample: VictimSample, region_size: int,
-                           pending, v_region: np.ndarray, policy,
-                           seed: int) -> None:
+                           region_size: int, pending,
+                           v_region: np.ndarray, policy, seed: int
+                           ) -> None:
     """Re-vote the uncorroborated failures of one recursion level.
 
     ``pending`` holds every executed region test of the level as
@@ -304,8 +298,8 @@ def _revote_uncorroborated(controllers: Sequence[MemoryController],
         if not suspicious.any():
             continue
         upheld = _revote_region(controllers, groups, sub_abs, covered,
-                                sample, region_size, suspicious,
-                                policy, seed, path)
+                                region_size, suspicious, policy, seed,
+                                path)
         failed &= ~suspicious
         failed |= upheld
 
@@ -359,8 +353,7 @@ def recursive_neighbour_search(controllers: Sequence[MemoryController],
             v_region = sample.col // size
             tests = 0
 
-            pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                Tuple[int, ...]]] = []
+            run: List[Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]] = []
             for d in candidate_dists:
                 parent = v_prev_region + d
                 in_range = (parent >= 0) & (parent < row_bits // prev_size)
@@ -375,15 +368,20 @@ def recursive_neighbour_search(controllers: Sequence[MemoryController],
                     tests += 1
                     if not covered.any():
                         continue
-                    failed = _run_region_test(controllers, groups, sub_abs,
-                                              covered, sample, size)
                     tested[covered] += 1
-                    pending.append((sub_abs, covered, failed, (li, d, j)))
+                    run.append((sub_abs, covered, (li, d, j)))
+            # The whole level runs as one kernel call per bank.
+            pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                Tuple[int, ...]]] = []
+            if run:
+                failed = _run_region_tests(
+                    controllers, groups, [t[:2] for t in run], size)
+                pending = [(sub_abs, covered, fail, path) for
+                           (sub_abs, covered, path), fail in zip(run, failed)]
 
             if policy is not None and policy.rounds > 1:
-                _revote_uncorroborated(controllers, groups, sample,
-                                       size, pending, v_region, policy,
-                                       seed)
+                _revote_uncorroborated(controllers, groups, size,
+                                       pending, v_region, policy, seed)
             for sub_abs, covered, failed, _path in pending:
                 for v in np.flatnonzero(failed & covered).tolist():
                     found[v].add(int(sub_abs[v] - v_region[v]))

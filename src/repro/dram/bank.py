@@ -15,9 +15,10 @@ cell data inversion.
 the bank historically stored, and every operation leaves
 ``unpack(charge_words)`` in the same state, and consumes the bank RNG
 identically, as the straight-line per-cell oracle in
-``tests/oracle.py``.  ``tests/runtime/test_kernel_differential.py``
-and ``tests/runtime/test_packed_kernels.py`` enforce this
-differentially.
+``tests/oracle.py``.  ``tests/runtime/test_kernel_differential.py``,
+``tests/runtime/test_packed_kernels.py`` and
+``tests/runtime/test_level_kernel.py`` (the batched region-test
+halves, ``docs/KERNELS.md`` section 3) enforce this differentially.
 
 True vs. anti cells: a *true* cell stores data '1' as charge, an *anti*
 cell stores data '0' as charge (paper footnote 3). We model polarity
@@ -27,7 +28,7 @@ per row - sense-amplifier orientation alternates between rows - via an
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -39,9 +40,35 @@ from .cells import CoupledCellPopulation
 from .faults import RandomFaultModel
 from .mapping import AddressMapping
 
-__all__ = ["Bank"]
+__all__ = ["Bank", "PatchedImages"]
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: Cells x retention waits one chunk of a batched
+#: :meth:`Bank.retention_check_cells` evaluates at once - the bound on
+#: its stacked per-wait state (a few MB whatever the batch size).
+CHUNK_CELLS = 1 << 18
+
+
+class PatchedImages(NamedTuple):
+    """The T row images one :meth:`Bank.write_rows_patched` call wrote.
+
+    Image ``t`` holds ``base[t]`` everywhere in ``rows``, then ``size``
+    system bits from ``span_start[t, j]`` in row ``rows[span_row[t,
+    j]]`` set to ``span_value[t]`` (``span_row < 0``: no span), then
+    every point ``(rows[point_row], point_col)`` set to
+    ``point_value[t]``.
+    """
+
+    rows: np.ndarray
+    base: np.ndarray
+    span_row: np.ndarray
+    span_start: np.ndarray
+    size: int
+    span_value: np.ndarray
+    point_row: np.ndarray
+    point_col: np.ndarray
+    point_value: np.ndarray
 
 
 class Bank:
@@ -95,6 +122,7 @@ class Bank:
         #: (n_rows, packed_words(row_bits)), uint64, LSB-first.
         self.charge_words = np.zeros((n_rows, self._n_words),
                                      dtype=np.uint64)
+        self._keys = None
 
     @property
     def charge(self) -> np.ndarray:
@@ -142,11 +170,12 @@ class Bank:
             return
         self.charge_words[rows] = pack_rows(self._to_charge(rows, data_sys))
 
-    def write_rows_patched(self, rows: np.ndarray, base: int,
+    def write_rows_patched(self, rows: np.ndarray, base,
                            spans: Optional[Tuple[np.ndarray, np.ndarray,
                                                  int, int]] = None,
                            points: Optional[Tuple[np.ndarray, np.ndarray,
-                                                  int]] = None) -> None:
+                                                  int]] = None
+                           ) -> "PatchedImages":
         """Write rows that are a constant background plus sparse patches.
 
         Equivalent to building the full system-order array - ``base``
@@ -154,30 +183,73 @@ class Bank:
         with their value, then individual ``points`` overwritten last -
         and calling :meth:`write_rows`, but combines pre-packed span
         masks word-wise instead of scrambling whole rows.  This is the
-        write primitive of the recursive region test, whose patches
-        shrink with the region size.
+        write half of the recursive region test, whose patches shrink
+        with the region size.
+
+        With a leading *test axis* - ``base`` of shape ``(T,)`` - the
+        call writes T images of the same n rows one after another, as
+        T consecutive tests would: ``rows`` then lists the T*n row
+        writes test-major (``np.tile(rows_n, T)``), span arrays are
+        ``(T, k)`` (a negative row index marks an absent span) and the
+        values are per image.  The bank keeps the last image; the
+        returned :class:`PatchedImages` describe all of them for
+        :meth:`retention_check_cells`.
 
         Args:
             rows: bank row indices being written.
             base: background bit value (0/1) in system order.
             spans: ``(row_idx, starts, size, value)`` - for each span,
-                ``row_idx`` indexes into ``rows`` and system columns
-                ``starts .. starts+size`` take ``value``.
-            points: ``(row_idx, sys_cols, value)`` - individual bits,
-                applied after the spans.
+                ``row_idx`` indexes into one image's rows and system
+                columns ``starts .. starts+size`` take ``value``.
+            points: ``(row_idx, cols, value)`` - individual bits,
+                applied after the spans, shared by every image.
         """
+        base = np.atleast_1d(np.asarray(base, dtype=np.uint8))
+        n_tests = len(base)
         rows = np.asarray(rows)
+        n = len(rows) // n_tests
+        if n_tests > 1 and not (rows.reshape(n_tests, n) == rows[:n]).all():
+            raise ValueError("every image must write the same rows")
+        rows = rows[:n]
+        if spans is None:
+            spans = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                     1, 0)
+        row_idx, starts, size, value = spans
+        if points is None:
+            points = (np.empty(0, dtype=np.int64),
+                      np.empty(0, dtype=np.int64), 0)
+        p_row, p_col, p_value = points
+        images = PatchedImages(
+            rows=rows, base=base,
+            span_row=np.asarray(row_idx).reshape(n_tests, -1),
+            span_start=np.asarray(starts).reshape(n_tests, -1),
+            size=int(size),
+            span_value=np.broadcast_to(np.asarray(value, dtype=np.uint8),
+                                       (n_tests,)),
+            point_row=np.asarray(p_row, dtype=np.int64),
+            point_col=np.asarray(p_col, dtype=np.int64),
+            point_value=np.broadcast_to(np.asarray(p_value,
+                                                   dtype=np.uint8),
+                                        (n_tests,)))
+        self._store_image(images, n_tests - 1)
+        return images
+
+    def _store_image(self, images: "PatchedImages", t: int) -> None:
+        """Pack image ``t`` word-wise into :attr:`charge_words`."""
+        rows = images.rows
         n = len(rows)
         anti = self.anti_rows[rows]
         # Background fill in charge domain: base XOR polarity per row.
-        fill = (np.uint8(base) ^ anti.astype(np.uint8)).astype(bool)
+        fill = (images.base[t] ^ anti.astype(np.uint8)).astype(bool)
         block = np.zeros((n, self._n_words), dtype=np.uint64)
         block[fill] = _ONES
         block[:, -1] &= self._tail
-        if spans is not None and len(spans[0]):
-            row_idx, starts, size, value = spans
-            starts = np.asarray(starts, dtype=np.int64)
-            charged = (np.uint8(value) ^ anti[row_idx].astype(np.uint8)
+        present = images.span_row[t] >= 0
+        if present.any():
+            row_idx = images.span_row[t][present]
+            starts = images.span_start[t][present]
+            size = images.size
+            charged = (images.span_value[t] ^ anti[row_idx].astype(np.uint8)
                        ).astype(bool)
             if self.row_bits % size == 0 and not (starts % size).any():
                 # Region-aligned spans (the recursion's case): apply
@@ -191,11 +263,12 @@ class Bank:
                 or_rows_masks(block, row_idx[charged], masks[charged])
                 clear_rows_masks(block, row_idx[~charged],
                                  masks[~charged])
-        if points is not None and len(points[0]):
-            row_idx, cols, value = points
-            charge_v = np.uint8(value) ^ anti[row_idx].astype(np.uint8)
+        if len(images.point_row):
+            row_idx = images.point_row
+            charge_v = images.point_value[t] ^ anti[row_idx].astype(np.uint8)
             scatter_assign_bits(block, row_idx,
-                                self.mapping.sys_to_phys()[cols], charge_v)
+                                self.mapping.sys_to_phys()[
+                                    images.point_col], charge_v)
         self.charge_words[rows] = block
 
     def write_all(self, data_sys: np.ndarray) -> None:
@@ -348,51 +421,334 @@ class Bank:
     def retention_check_cells(self, rows: np.ndarray,
                               check_row_idx: np.ndarray,
                               check_cols: np.ndarray,
-                              coupled_rows_only: bool = False
+                              coupled_rows_only: bool = False,
+                              images: Optional["PatchedImages"] = None
                               ) -> np.ndarray:
-        """One retention wait; did specific cells read back corrupted?
+        """Retention waits; did specific cells read back corrupted?
 
-        The batched verification primitive: instead of materialising
-        the observed data of every row and comparing per cell, the
-        (sparse) retention flip coordinates are matched against the
-        checked cells directly.
+        The batched verification primitive and the read half of the
+        recursive region test: instead of materialising the observed
+        data of every row and comparing per cell, it decides only the
+        cells a checked cell's outcome can depend on.  Without
+        ``images`` it runs one retention wait over the bank as it is.
+        With the :class:`PatchedImages` of a batched
+        :meth:`write_rows_patched` it runs one wait per image, as if
+        each had been written just before its own wait:
+
+        * **RNG order.** Every wait draws exactly what a single read
+          draws, in order - the coupled-cell coins, the fault model's
+          draws (:meth:`RandomFaultModel.draw`), then the device-noise
+          coins - so the bank stream, the VRT state and the noise
+          clock end where T single tests leave them.
+        * **Visible cells only.** Without a real on-die ECC code a
+          checked cell's outcome depends only on events *at* checked
+          coordinates, so only the coupled and fault cells there are
+          evaluated, from their charge under each image.
+        * **ECC.** With a real code the stage's counters and ambiguous
+          set cover the whole bank, so every cell is evaluated (cells
+          in rows the images do not cover read the stored state) and
+          every wait's whole-bank events go through
+          :meth:`~repro.ecc.OnDieEcc.transform_read` (one call per
+          chunk of waits, see :meth:`_ecc_check`).
+
+        Stacked per-wait state is evaluated in chunks of at most
+        :data:`CHUNK_CELLS` cells x waits.
 
         Args:
-            rows: bank rows that were written (and are now read).
-            check_row_idx: per checked cell, index into ``rows``.
+            rows: bank rows that were written (and are now read); with
+                ``images`` the T*n row reads, test-major, as passed to
+                :meth:`write_rows_patched`.
+            check_row_idx: per checked cell, index into one image's
+                rows.
             check_cols: per checked cell, system column.
             coupled_rows_only: restrict the coupled-cell evaluation to
                 ``rows`` (see :meth:`_retention_flips` for when that
                 is safe).
+            images: the images the waits read back, or None for one
+                wait over the stored state.
 
         Returns:
-            Boolean array over the checked cells: True where the
-            read-back value differs from what was written (an odd
-            number of flip events landed on the cell).
+            Boolean array over the checked cells - shape ``(T,
+            n_checks)`` with ``images``, ``(n_checks,)`` without: True
+            where the read-back value differs from what was written
+            (an odd number of flip events landed on the cell, or
+            injected noise forced it).
         """
-        f_rows, f_cols, n_rows_, n_cols = self._observed_errors(
-            visible_rows=rows if coupled_rows_only else None)
-        check_enc = (rows[check_row_idx].astype(np.int64) * self.row_bits
+        n_tests = 1 if images is None else len(images.base)
+        rows = np.asarray(rows)
+        rows = rows[:len(rows) // n_tests]
+        rb = self.row_bits
+        check_enc = (rows[check_row_idx].astype(np.int64) * rb
                      + check_cols)
+        pop = self.coupled
+        populations = [(pop.row, pop.phys), *self.faults.cells()]
+        # The coupled cells each wait draws coins for: all of them, or
+        # on a re-vote stream only those in ``rows``.
+        members = slice(None)
+        n_coins = len(pop)
+        if coupled_rows_only:
+            in_rows = np.zeros(self.n_rows, dtype=bool)
+            in_rows[rows] = True
+            members = np.flatnonzero(in_rows[pop.row])
+            n_coins = len(members)
+        lens = self.ecc is not None and self.ecc.code is not None
+        targets, check_coord = np.unique(check_enc, return_inverse=True)
+        keys = self._cell_keys()
+        if lens:
+            sel = [members] + [slice(None)] * 3
+            coin_idx = slice(None)
+        else:
+            hit = self._sorted_member(targets, keys[0][members])
+            coin_idx = np.flatnonzero(hit)
+            sel = [members[hit] if coupled_rows_only else coin_idx]
+            sel += [np.flatnonzero(self._sorted_member(targets, k))
+                    for k in keys[1:]]
+        slots = pop.slot_cols()[sel[0]]
+        n_slot = slots.shape[1]
+        sel_rows = [r[s] for (r, _), s in zip(populations, sel)]
+        sel_phys = [p[s] for (_, p), s in zip(populations, sel)]
+        pos_rows = np.concatenate([np.repeat(sel_rows[0], n_slot),
+                                   *sel_rows[1:]])
+        pos_phys = np.concatenate([slots.ravel(), *sel_phys[1:]])
+        bounds = np.cumsum([len(sel_rows[0]) * n_slot]
+                           + [len(r) for r in sel_rows[1:]])
+        planes = self._charge_planes(pos_rows, pos_phys, images)
+        if not lens:
+            coords = [np.searchsorted(targets, k[s])
+                      for k, s in zip(keys, sel)]
+
+        out = np.empty((n_tests, len(check_enc)), dtype=bool)
+        step = max(1, CHUNK_CELLS // max(len(pos_rows), 1))
+        for t0 in range(0, n_tests, step):
+            t1 = min(n_tests, t0 + step)
+            draws = [self._draw_read(n_coins, coin_idx, sel[2], sel[3])
+                     for _ in range(t0, t1)]
+            charged = np.split(planes(t0, t1), bounds[:-1], axis=1)
+            failing = [pop.exposure(
+                charged[0].reshape(t1 - t0, -1, n_slot),
+                np.stack([d[0] for d in draws]), self.stress, sel[0])]
+            failing += self.faults.hits(
+                self.stress, charged[1:], np.stack([d[2] for d in draws]),
+                np.stack([d[3] for d in draws]), sel[1:])
+            if lens:
+                out[t0:t1] = self._ecc_check(
+                    failing, sel_rows, sel_phys, draws, check_enc)
+            else:
+                out[t0:t1] = self._visible_check(
+                    failing, coords, draws, targets)[:, check_coord]
+        return out if images is not None else out[0]
+
+    def _cell_keys(self):
+        """Per population (coupled, weak, VRT, marginal), cell keys.
+
+        A key is ``row * row_bits + system column``, or -1 for a cell
+        outside the row (a coupled cell nudged past a one-bit tile),
+        which no checked cell can match.  Cached: the populations and
+        the mapping never change.
+        """
+        cache = self._keys
+        if (cache is None or cache[0] is not self.coupled
+                or cache[1] is not self.faults):
+            rb = self.row_bits
+            p2s = self.mapping.phys_to_sys()
+            keys = [np.where(p < rb, r * rb + p2s[np.minimum(p, rb - 1)],
+                             -1)
+                    for r, p in [(self.coupled.row, self.coupled.phys),
+                                 *self.faults.cells()]]
+            cache = self._keys = (self.coupled, self.faults, keys)
+        return cache[2]
+
+    def _charge_planes(self, pos_rows: np.ndarray, pos_phys: np.ndarray,
+                       images: Optional["PatchedImages"]):
+        """Charge of cells ``(pos_rows, pos_phys)`` under each image.
+
+        Returns ``planes(t0, t1)``, a bool ``(t1 - t0, n_cells)``
+        array: image ``t``'s charge for cells in its rows, the stored
+        charge elsewhere.  An image differs from its background only
+        in spans and points, and the spans are region-aligned, so a
+        cell is covered exactly when its (row, region) is one of the
+        image's spans: cells are deduplicated to their (row, region)
+        once, and each image marks its spans' regions.
+        """
+        rb = self.row_bits
+        stored = gather_bits(self.charge_words, pos_rows,
+                             pos_phys).astype(bool)
+        if images is None:
+            return lambda t0, t1: stored[None]
+        size = images.size
+        if rb % size:
+            raise ValueError("batched reads need region-aligned spans")
+        row_pos = np.full(self.n_rows, -1, dtype=np.int64)
+        row_pos[images.rows] = np.arange(len(images.rows))
+        written = row_pos[pos_rows] >= 0
+        keys, inv = np.unique(
+            pos_rows[written] * rb
+            + self.mapping.phys_to_sys()[pos_phys[written]],
+            return_inverse=True)
+        regions, region_of = np.unique(keys // size, return_inverse=True)
+        point = np.zeros(len(keys), dtype=bool)
+        p_keys = images.rows[images.point_row] * rb + images.point_col
+        if len(keys) and len(p_keys):
+            at = np.minimum(np.searchsorted(keys, p_keys), len(keys) - 1)
+            point[at[keys[at] == p_keys]] = True
+        # Per written cell: its region, point flag and row polarity.
+        cell_region = region_of[inv]
+        cell_point = point[inv]
+        cell_anti = self.anti_rows[pos_rows[written]]
+        every = bool(written.all())
+        base = images.base != 0
+        span_flip = (images.span_value != 0) ^ base
+        point_value = images.point_value != 0
+        # Consecutive images with the same spans (a pattern and its
+        # inverse) share one span coverage.
+        span_row, span_start = images.span_row, images.span_start
+        fresh = np.ones(len(span_row), dtype=bool)
+        fresh[1:] = ((span_row[1:] != span_row[:-1])
+                     | (span_start[1:] != span_start[:-1])).any(axis=1)
+        owner = np.cumsum(fresh) - 1
+        distinct = np.flatnonzero(fresh)
+
+        def planes(t0: int, t1: int) -> np.ndarray:
+            s0, s1 = owner[t0], owner[t1 - 1] + 1
+            rows_s = span_row[distinct[s0:s1]]
+            ss, kk = np.nonzero(rows_s >= 0)
+            starts = span_start[distinct[s0:s1]][ss, kk]
+            if (starts % size).any():
+                raise ValueError("batched reads need region-aligned spans")
+            span_region = (images.rows[rows_s[ss, kk]] * rb + starts) // size
+            covered = np.zeros((s1 - s0, len(regions)), dtype=bool)
+            if len(regions):
+                at = np.minimum(np.searchsorted(regions, span_region),
+                                len(regions) - 1)
+                hit = regions[at] == span_region
+                covered[ss[hit], at[hit]] = True
+            # Data is the span value inside a covered region, the
+            # background outside, the point value at a point; charge
+            # is data XOR the row polarity.
+            charge = covered.take(cell_region, axis=1)[owner[t0:t1] - s0]
+            charge &= span_flip[t0:t1, None]
+            charge ^= base[t0:t1, None]
+            np.copyto(charge, point_value[t0:t1, None], where=cell_point)
+            charge ^= cell_anti
+            if every:
+                return charge
+            out = np.repeat(stored[None], t1 - t0, axis=0)
+            out[:, written] = charge
+            return out
+
+        return planes
+
+    def _draw_read(self, n_coupled: int, coupled, vrt, marginal):
+        """One retention wait's draws, in the order a read makes them.
+
+        Returns ``(coins, soft_flat, vrt_leaky, marginal_coin, noise)``
+        with the coins and the VRT state kept only for the selected
+        ``coupled``, ``vrt`` and ``marginal`` cells, and ``noise`` the
+        ``(rows, phys)`` forced cells.
+        """
+        coins = self._rng.random(n_coupled)[coupled]
+        soft, leaky, coin = self.faults.draw()
+        if self.noise is None:
+            empty = np.empty(0, dtype=np.int64)
+            noise = (empty, empty)
+        else:
+            noise = self.noise.flips()
+        return coins, soft, leaky[vrt], coin[marginal], noise
+
+    def _ecc_check(self, failing, sel_rows, sel_phys, draws,
+                   check_enc: np.ndarray) -> np.ndarray:
+        """The waits' whole-bank events through the ECC stage, checked.
+
+        ``failing`` holds one ``(waits, cells)`` failure mask per
+        population (coupled, weak, VRT, marginal).  Every wait's flip
+        events and noise go through one
+        :meth:`~repro.ecc.OnDieEcc.transform_read` call, each wait's
+        rows numbered ``wait * n_rows + row`` - the same as one call
+        per wait (the stage's outputs are per word, its counters and
+        ambiguous set sums and unions over words).
+        """
+        rb, n = self.row_bits, self.n_rows
+        rows, phys, noise_rows, noise_phys = [], [], [], []
+        for r, p, mask in zip(sel_rows, sel_phys, failing):
+            tt, kk = np.nonzero(mask)
+            rows.append(tt * n + r[kk])
+            phys.append(p[kk])
+        for i, d in enumerate(draws):
+            soft, (n_r, n_p) = d[1], d[4]
+            rows.append(i * n + soft // rb)
+            phys.append(soft % rb)
+            noise_rows.append(i * n + n_r)
+            noise_phys.append(n_p)
+        o_rows, o_phys, on_rows, on_phys = self.ecc.transform_read(
+            np.concatenate(rows).astype(np.int64),
+            np.concatenate(phys).astype(np.int64),
+            np.concatenate(noise_rows).astype(np.int64),
+            np.concatenate(noise_phys).astype(np.int64), rb, n_rows=n)
+        p2s = self.mapping.phys_to_sys()
+        enc = (np.arange(len(draws), dtype=np.int64)[:, None] * (n * rb)
+               + check_enc).ravel()
+        return self._corrupted(o_rows, p2s[o_phys], on_rows, p2s[on_phys],
+                               enc, rb).reshape(len(draws), -1)
+
+    def _visible_check(self, failing, coords, draws,
+                       targets: np.ndarray) -> np.ndarray:
+        """Corruption of every checked coordinate, per wait.
+
+        ``failing`` holds one ``(waits, cells)`` failure mask per
+        selected population and ``coords`` each selected cell's index
+        into the sorted checked coordinates ``targets``.  Flip events
+        count modulo two (an even number cancels); soft errors land
+        wherever they are drawn; injected noise is ORed in last so it
+        can never cancel a flip.
+        """
+        rb = self.row_bits
+        p2s = self.mapping.phys_to_sys()
+        n_coords = len(targets)
+        n_waits = len(draws)
+        events = []
+        for mask, coord in zip(failing, coords):
+            tt, kk = np.nonzero(mask)
+            events.append(tt * n_coords + coord[kk])
+        noise = []
+        for i, d in enumerate(draws):
+            soft, (n_rows, n_phys) = d[1], d[4]
+            for cells, into in (((soft // rb, soft % rb), events),
+                                ((n_rows, n_phys), noise)):
+                if len(cells[0]) and n_coords:
+                    key = cells[0] * rb + p2s[cells[1]]
+                    at = np.minimum(np.searchsorted(targets, key),
+                                    n_coords - 1)
+                    into.append(i * n_coords + at[targets[at] == key])
+        counts = np.bincount(np.concatenate(events),
+                             minlength=n_waits * n_coords)
+        corrupted = (counts & 1).astype(bool)
+        if noise:
+            corrupted[np.concatenate(noise)] = True
+        return corrupted.reshape(n_waits, n_coords)
+
+    @staticmethod
+    def _corrupted(f_rows: np.ndarray, f_cols: np.ndarray,
+                   n_rows: np.ndarray, n_cols: np.ndarray,
+                   check_enc: np.ndarray, row_bits: int) -> np.ndarray:
+        """Checked cells hit by an odd number of events, or by noise."""
         corrupted = np.zeros(len(check_enc), dtype=bool)
         if len(f_rows):
             # Sort the (small) flip set, keep the coordinates hit an
             # odd number of times, and membership-test the checked
             # cells with a binary search - cheaper than unique + isin
             # but the same set arithmetic.
-            enc = np.sort(f_rows.astype(np.int64) * self.row_bits
-                          + f_cols)
+            enc = np.sort(f_rows.astype(np.int64) * row_bits + f_cols)
             starts = np.flatnonzero(np.concatenate(
                 ([True], enc[1:] != enc[:-1])))
             counts = np.diff(np.append(starts, len(enc)))
             odd = enc[starts[counts % 2 == 1]]
-            corrupted = self._sorted_member(odd, check_enc)
-        if len(n_rows_):
+            corrupted = Bank._sorted_member(odd, check_enc)
+        if len(n_rows):
             # Injected noise forces corruption - OR it in after the
             # odd-count logic so it can never cancel a flip event.
-            noise_enc = np.sort(n_rows_.astype(np.int64) * self.row_bits
+            noise_enc = np.sort(n_rows.astype(np.int64) * row_bits
                                 + n_cols)
-            corrupted |= self._sorted_member(noise_enc, check_enc)
+            corrupted |= Bank._sorted_member(noise_enc, check_enc)
         return corrupted
 
     @staticmethod

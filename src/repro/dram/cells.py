@@ -158,8 +158,11 @@ class CoupledCellPopulation:
         if min_stress is None:
             min_stress = np.zeros(n, dtype=np.float64)
         self.min_stress = np.asarray(min_stress, dtype=np.float64)
-        # Per-word-count gather plans for the packed evaluation (one
-        # bank geometry per population in practice).
+        # Slot columns (with the absent-slot masks) and per-word-count
+        # gather plans for the packed evaluation, built on first use -
+        # column remapping edits the neighbour arrays after
+        # construction.
+        self._slot_cols: Optional[np.ndarray] = None
         self._packed_plans: dict = {}
 
     def __len__(self) -> int:
@@ -296,18 +299,16 @@ class CoupledCellPopulation:
 
     # ------------------------------------------------------------------
 
-    def _packed_plan(self, n_words: int):
-        """Flat word indices + shifts of every cell the evaluation reads.
+    def slot_cols(self) -> np.ndarray:
+        """Physical columns of every cell the evaluation reads.
 
-        One ``(n, 3 + 2*MAX_CONTEXT)`` gather covers victim, both
-        aggressors, and all context cells; absent positions
-        (``NO_NEIGHBOUR``) alias the victim's own cell and are masked
-        out after the gather.  The plan depends only on the (immutable)
-        population coordinates and the bank's word count, so it is
-        built once and cached.
+        One ``(n, 3 + 2*MAX_CONTEXT)`` array per population, in *slot*
+        order: victim, left aggressor, right aggressor, then the
+        context cells.  Absent positions (``NO_NEIGHBOUR``) alias the
+        victim's own cell; :meth:`exposure` masks them out.  Built
+        once and cached (the coordinates are immutable).
         """
-        plan = self._packed_plans.get(n_words)
-        if plan is None:
+        if self._slot_cols is None:
             cols = np.empty((len(self), 3 + 2 * MAX_CONTEXT),
                             dtype=np.int64)
             cols[:, 0] = self.phys
@@ -317,13 +318,58 @@ class CoupledCellPopulation:
                                   self.phys, self.right_phys)
             cols[:, 3:] = np.where(self.context == NO_NEIGHBOUR,
                                    self.phys[:, None], self.context)
+            self._slot_cols = cols
+            self._no_left = self.left_phys == NO_NEIGHBOUR
+            self._no_right = self.right_phys == NO_NEIGHBOUR
+            self._ctx_present = self.context != NO_NEIGHBOUR
+        return self._slot_cols
+
+    def _packed_plan(self, n_words: int):
+        """Flat word indices + shifts of every :meth:`slot_cols` cell.
+
+        One flat gather over the packed bank covers victim, both
+        aggressors, and all context cells.  The plan depends only on
+        the population coordinates and the bank's word count, so it is
+        built once and cached.
+        """
+        plan = self._packed_plans.get(n_words)
+        if plan is None:
+            cols = self.slot_cols()
             plan = (self.row[:, None] * n_words + (cols >> 6),
-                    (cols & 63).astype(np.uint8),
-                    self.left_phys == NO_NEIGHBOUR,
-                    self.right_phys == NO_NEIGHBOUR,
-                    self.context != NO_NEIGHBOUR)
+                    (cols & 63).astype(np.uint8))
             self._packed_plans[n_words] = plan
         return plan
+
+    def exposure(self, charged: np.ndarray, coins: np.ndarray,
+                 stress: float, cells=slice(None)) -> np.ndarray:
+        """Which victims flip, given the charge of their slot cells.
+
+        The decision rule of :meth:`evaluate_failures`, over any
+        number of reads at once.
+
+        Args:
+            charged: bool charge of each :meth:`slot_cols` cell of the
+                selected victims, shape ``(..., k, 3 + 2*MAX_CONTEXT)``
+                - leading axes index reads.
+            coins: the reads' ``rng.random`` coins of the selected
+                victims, shape ``(..., k)``.
+            stress: retention stress of the reads.
+            cells: the selected victims (index array or slice).
+
+        Returns:
+            Bool ``(..., k)``: True where the victim is corrupted.
+        """
+        self.slot_cols()
+        v = charged[..., 0]
+        l_charge = self._no_left[cells] | charged[..., 1]
+        r_charge = self._no_right[cells] | charged[..., 2]
+        interference = (self.w_left[cells] * (v & ~l_charge)
+                        + self.w_right[cells] * (v & ~r_charge))
+        candidate = interference >= 1.0
+        ctx_ok = (~self._ctx_present[cells]
+                  | (charged[..., 3:] == v[..., None])).all(axis=-1)
+        return (candidate & ctx_ok & (self.min_stress[cells] <= stress)
+                & (coins < self.p_fail[cells]))
 
     def evaluate_failures(self, charge_words: np.ndarray,
                           rng: np.random.Generator,
@@ -349,21 +395,10 @@ class CoupledCellPopulation:
             Boolean mask over the population: True where the victim's
             stored value is corrupted by this read.
         """
-        idx, shifts, no_left, no_right, ctx_present = self._packed_plan(
-            charge_words.shape[1])
+        idx, shifts = self._packed_plan(charge_words.shape[1])
         flat = charge_words.reshape(-1)
-        bits = ((flat[idx] >> shifts) & np.uint64(1)).astype(np.uint8)
-        v = bits[:, 0]
-        l_charge = np.where(no_left, np.uint8(1), bits[:, 1])
-        r_charge = np.where(no_right, np.uint8(1), bits[:, 2])
-
-        interference = (self.w_left * ((v == 1) & (l_charge == 0))
-                        + self.w_right * ((v == 1) & (r_charge == 0)))
-        candidate = interference >= 1.0
-        ctx_ok = (~ctx_present | (bits[:, 3:] == v[:, None])).all(axis=1)
-        exposed = (candidate & ctx_ok & (self.min_stress <= stress)
-                   & (rng.random(len(self)) < self.p_fail))
-        return exposed
+        charged = ((flat[idx] >> shifts) & np.uint64(1)).astype(bool)
+        return self.exposure(charged, rng.random(len(self)), stress)
 
     def subset(self, mask: np.ndarray) -> "CoupledCellPopulation":
         """A view-free copy restricted to ``mask``."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -129,39 +129,44 @@ class MemoryController:
 
     # -- tests -------------------------------------------------------------
 
-    def _account_test(self, n_rows: int) -> None:
-        self.stats.rows_written += n_rows
-        self.stats.retention_waits += 1
-        self.stats.tests += 1
-        self.stats.rows_read += n_rows
+    def _account_test(self, n_rows: int, tests: int = 1) -> None:
+        self.stats.rows_written += n_rows * tests
+        self.stats.retention_waits += tests
+        self.stats.tests += tests
+        self.stats.rows_read += n_rows * tests
 
     def _run_test(self, kind: str, bank: int, n_rows: int,
-                  write: Callable[[], None],
-                  read: Callable[[], np.ndarray]) -> np.ndarray:
-        """Run one write -> wait -> read test, traced when obs is on.
+                  write: Callable[[], Any],
+                  read: Callable[[Any], np.ndarray],
+                  tests: int = 1) -> np.ndarray:
+        """Run ``tests`` write -> wait -> read tests, traced when obs is on.
 
-        The untraced branch is the exact pre-observability sequence;
-        the traced branch wraps the same calls in ``test`` /
-        ``phase.*`` spans and feeds the engine wall-time histogram.
-        Accounting and RNG draw order are identical on both branches.
+        ``read`` receives what ``write`` returned.  The untraced
+        branch is the exact pre-observability sequence; the traced
+        branch wraps the same calls in one ``test`` span (with
+        ``phase.*`` children) and feeds the engine wall-time
+        histogram.  Accounting and RNG draw order are identical on
+        both branches.
         """
         sess = obs.active()
         if sess is None:
-            write()
-            self._account_test(n_rows)
-            return read()
+            written = write()
+            self._account_test(n_rows, tests)
+            return read(written)
         tracer = sess.tracer
         t0 = time.perf_counter()
-        with tracer.span("test", kind=kind, bank=bank, rows=n_rows):
+        attrs = {"tests": tests} if tests != 1 else {}
+        with tracer.span("test", kind=kind, bank=bank, rows=n_rows,
+                         **attrs):
             with tracer.span("phase.write"):
-                write()
+                written = write()
             with tracer.span(
                     "phase.wait",
                     retention_ms=self.timing.refresh_interval_ms):
                 pass  # the retention wait is simulated, not slept
             with tracer.span("phase.read"):
-                observed = read()
-        self._account_test(n_rows)
+                observed = read(written)
+        self._account_test(n_rows, tests)
         sess.metrics.observe("io.test_ms",
                              (time.perf_counter() - t0) * 1e3)
         return observed
@@ -183,38 +188,67 @@ class MemoryController:
         return self._run_test(
             "rows", bank, len(rows),
             lambda: b.write_rows(rows, data_sys),
-            lambda: b.retention_read_rows(
+            lambda _: b.retention_read_rows(
                 rows, coupled_rows_only=coupled_rows_only))
 
-    def test_rows_patched(self, bank: int, rows: np.ndarray, base: int,
-                          spans: Optional[Tuple[np.ndarray, np.ndarray,
-                                                int, int]],
-                          points: Optional[Tuple[np.ndarray, np.ndarray,
-                                                 int]],
-                          check_row_idx: np.ndarray,
-                          check_cols: np.ndarray,
-                          coupled_rows_only: bool = False) -> np.ndarray:
-        """One batched test: sparse-patched write, then cell verification.
+    def test_regions(self, bank: int, rows: np.ndarray,
+                     victims: Tuple[np.ndarray, np.ndarray],
+                     starts: np.ndarray, size: int,
+                     coupled_rows_only: bool = False) -> np.ndarray:
+        """T recursive region tests on one bank, as one batched kernel.
 
-        Writes a constant background plus span/point patches (see
-        :meth:`~repro.dram.bank.Bank.write_rows_patched`), waits one
-        retention interval, and returns a bool mask over the checked
-        cells - True where the read-back differs from what was
-        written.  Test accounting is identical to :meth:`test_rows`
-        (the rows are still conceptually written and read in full).
-        ``coupled_rows_only`` restricts the coupled-cell evaluation to
-        the tested rows (re-vote streams only; see
-        :meth:`~repro.dram.bank.Bank._retention_flips`).
+        Region test ``t`` is a pattern/inverse pair over ``rows``.  The
+        pattern holds 1 everywhere in system order, 0 in each covered
+        victim's tested region, and 1 at every victim (so only that
+        region can disturb it); the inverse is its complement.  The
+        tests only write rows and never read each other's results, so
+        all 2T writes are described at once
+        (:meth:`~repro.dram.bank.Bank.write_rows_patched` with a test
+        axis) and all 2T retention waits evaluated in one
+        :meth:`~repro.dram.bank.Bank.retention_check_cells` call, with
+        the bank's RNG draws in the order 2T single tests make them.
+        Accounting is 2T tests over ``len(rows)`` rows each; a traced
+        run records one ``test`` span with ``tests=2T``.
+
+        Args:
+            bank: bank index.
+            rows: bank rows hosting the victims (every test writes
+                and reads all of them).
+            victims: ``(row_idx, cols)`` - victim ``i`` is the cell at
+                system column ``cols[i]`` of ``rows[row_idx[i]]``.
+            starts: ``(T, n_victims)`` system column where test ``t``'s
+                region for victim ``i`` starts, negative where test
+                ``t`` does not cover victim ``i``.
+            size: region size in bits.
+            coupled_rows_only: restrict the coupled-cell evaluation to
+                ``rows`` (re-vote streams only; see
+                :meth:`~repro.dram.bank.Bank._retention_flips`).
+
+        Returns:
+            Bool ``(T, n_victims)``: True where a covered victim read
+            back corrupted in the pattern or the inverse test.
         """
         rows = np.asarray(rows)
+        starts = np.asarray(starts, dtype=np.int64)
+        row_idx, cols = victims
+        n_tests = 2 * len(starts)
+        covered = starts >= 0
+        base = np.tile(np.array([1, 0], dtype=np.uint8), len(starts))
+        all_rows = np.tile(rows, n_tests)
         b = self.chip.bank(bank)
-        return self._run_test(
-            "patched", bank, len(rows),
-            lambda: b.write_rows_patched(rows, base, spans=spans,
-                                         points=points),
-            lambda: b.retention_check_cells(
-                rows, check_row_idx, check_cols,
-                coupled_rows_only=coupled_rows_only))
+        spans = (np.repeat(np.where(covered, row_idx, -1).astype(np.int32),
+                           2, axis=0),
+                 np.repeat(starts.astype(np.int32), 2, axis=0), size,
+                 1 - base)
+        flips = self._run_test(
+            "regions", bank, len(rows),
+            lambda: b.write_rows_patched(all_rows, base, spans=spans,
+                                         points=(row_idx, cols, base)),
+            lambda images: b.retention_check_cells(
+                all_rows, row_idx, cols,
+                coupled_rows_only=coupled_rows_only, images=images),
+            tests=n_tests)
+        return (flips[0::2] | flips[1::2]) & covered
 
     def _whole_chip_test(self, data_sys: np.ndarray, kind: str
                          ) -> List[Tuple[np.ndarray, np.ndarray]]:

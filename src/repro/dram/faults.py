@@ -140,6 +140,63 @@ class RandomFaultModel:
         self.weak_threshold = np.exp(rng.uniform(np.log(lo), np.log(hi),
                                                  size=spec.n_weak_cells))
 
+    def cells(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """``(rows, phys)`` of the weak, VRT and marginal populations."""
+        return ((self.weak_row, self.weak_phys),
+                (self.vrt_row, self.vrt_phys),
+                (self.marginal_row, self.marginal_phys))
+
+    def draw(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The charge-independent draws of one retention read.
+
+        Consumes the stream exactly as :meth:`retention_flips` does -
+        the soft-error Poisson count and positions, the VRT toggles
+        (applied to :attr:`vrt_leaky`), the marginal coins - and
+        returns ``(soft_flat, vrt_leaky, marginal_coin)``, where
+        ``soft_flat`` holds flat ``row * row_bits + phys`` cells.
+        Draw nothing for a disabled population: a zero-rate spec must
+        consume zero RNG state per read so that chips with noise
+        populations switched off share the coupled-cell coin stream
+        of a noise-free chip bit for bit.
+        """
+        rng = self._rng
+        soft = np.empty(0, dtype=np.int64)
+        if self.spec.soft_error_rate > 0:
+            n_cells = self.n_rows * self.row_bits
+            n_soft = rng.poisson(self.spec.soft_error_rate * n_cells)
+            if n_soft:
+                soft = rng.integers(0, n_cells, size=n_soft)
+        if len(self.vrt_row):
+            toggle = rng.random(len(self.vrt_row)) < self.spec.vrt_toggle_prob
+            self.vrt_leaky = self.vrt_leaky ^ toggle
+        coin = np.empty(0)
+        if len(self.marginal_row):
+            coin = rng.random(len(self.marginal_row))
+        return soft, self.vrt_leaky, coin
+
+    def hits(self, stress: float, charged, leaky: np.ndarray,
+             coin: np.ndarray, sel=(slice(None),) * 3
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weak, VRT and marginal failure masks of one or more reads.
+
+        Args:
+            stress: retention stress of the read(s).
+            charged: per population (weak, VRT, marginal), the bool
+                charge of the selected cells - any leading axes (one
+                per read) broadcast.
+            leaky / coin: :meth:`draw` outputs restricted to the
+                selected VRT / marginal cells, same leading axes.
+            sel: per population, the selected cells (index arrays or
+                slices into the population).
+        """
+        w_sel, v_sel, m_sel = sel
+        weak = (self.weak_threshold[w_sel] <= stress) & charged[0]
+        vrt = leaky & (self.vrt_threshold[v_sel] <= stress) & charged[1]
+        marginal = ((coin < self.spec.marginal_fail_prob)
+                    & (self.marginal_threshold[m_sel] <= stress)
+                    & charged[2])
+        return weak, vrt, marginal
+
     def retention_flips(self, charge_words: np.ndarray,
                         stress: float = 1.0
                         ) -> Tuple[np.ndarray, np.ndarray]:
@@ -158,54 +215,20 @@ class RandomFaultModel:
 
         Returns:
             ``(rows, cols)`` coordinate arrays of cells whose read-out
-            is corrupted.
+            is corrupted: weak, soft-error, VRT and marginal flips, in
+            that order.
         """
-        rng = self._rng
-        rows_list = []
-        cols_list = []
-
-        if len(self.weak_row):
-            hit = ((self.weak_threshold <= stress)
-                   & (gather_bits(charge_words, self.weak_row,
-                                  self.weak_phys) == 1))
-            rows_list.append(self.weak_row[hit])
-            cols_list.append(self.weak_phys[hit])
-
-        # Draw nothing when the population is disabled: a zero-rate
-        # spec must consume zero RNG state per read so that chips with
-        # noise populations switched off share the coupled-cell coin
-        # stream of a noise-free chip bit for bit.
-        if self.spec.soft_error_rate > 0:
-            n_cells = self.n_rows * self.row_bits
-            n_soft = rng.poisson(self.spec.soft_error_rate * n_cells)
-            if n_soft:
-                flat = rng.integers(0, n_cells, size=n_soft)
-                rows_list.append(flat // self.row_bits)
-                cols_list.append(flat % self.row_bits)
-
-        if len(self.vrt_row):
-            toggle = rng.random(len(self.vrt_row)) < self.spec.vrt_toggle_prob
-            self.vrt_leaky = self.vrt_leaky ^ toggle
-            hit = (self.vrt_leaky & (self.vrt_threshold <= stress)
-                   & (gather_bits(charge_words, self.vrt_row,
-                                  self.vrt_phys) == 1))
-            rows_list.append(self.vrt_row[hit])
-            cols_list.append(self.vrt_phys[hit])
-
-        if len(self.marginal_row):
-            coin = rng.random(len(self.marginal_row))
-            hit = ((coin < self.spec.marginal_fail_prob)
-                   & (self.marginal_threshold <= stress)
-                   & (gather_bits(charge_words, self.marginal_row,
-                                  self.marginal_phys) == 1))
-            rows_list.append(self.marginal_row[hit])
-            cols_list.append(self.marginal_phys[hit])
-
-        if not rows_list:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        return (np.concatenate(rows_list).astype(np.int64),
-                np.concatenate(cols_list).astype(np.int64))
+        soft, leaky, coin = self.draw()
+        cells = self.cells()
+        charged = [gather_bits(charge_words, r, p) == 1 for r, p in cells]
+        masks = self.hits(stress, charged, leaky, coin)
+        (w_row, w_phys), (v_row, v_phys), (m_row, m_phys) = cells
+        rows = (w_row[masks[0]], soft // self.row_bits,
+                v_row[masks[1]], m_row[masks[2]])
+        cols = (w_phys[masks[0]], soft % self.row_bits,
+                v_phys[masks[1]], m_phys[masks[2]])
+        return (np.concatenate(rows).astype(np.int64),
+                np.concatenate(cols).astype(np.int64))
 
 
 @dataclass(frozen=True)

@@ -343,9 +343,10 @@ class AddressMapping:
         row (true vs anti cells) with a single ``np.where`` instead of
         an outer XOR that would dirty the tail.  Both arrays are
         read-only.  The cache is bounded (cleared at 256 patterns) so
-        one-shot random backgrounds cannot grow it without limit.
+        one-shot random backgrounds cannot grow it without limit, and
+        keyed by the bit-packed pattern (an eighth of the raw bytes).
         """
-        key = row_sys.tobytes()
+        key = np.packbits(row_sys).tobytes()
         cached = self._packed_cache.get(key)
         if cached is None:
             if len(self._packed_cache) >= 256:

@@ -18,13 +18,17 @@ column (if any) the syndrome matches, so the recovered basis predicts
 the device's decode actions on data bits exactly.
 
 De-noising: probe words also carry real retention failures.  Every
-triple is planted at two slots (row ``r`` and row ``r + n_rows/2``,
-same word index) in the same round and a relation is accepted only
-when both slots report the *identical* outcome - real-failure
-contamination is word-local and cannot replicate across the pair.
-Backgrounds cycle solid-0 / checkered / solid-1 / row-stripe per the
-BEER pattern recipe (solids keep data-dependent failures quiet, the
-striped rounds prove inference survives contamination).
+triple is planted in :data:`COPIES` decoupled replicas (different
+rows and words, see :func:`_copies`) in the same round, and a
+relation is accepted only when every replica reports the *identical*
+outcome - real-failure contamination is word-local and cannot
+replicate across them.  Backgrounds cycle solid-0 / checkered /
+solid-1 / row-stripe per the BEER pattern recipe.  Only the checkered
+rounds wake data-dependent failures, and only on chips whose
+neighbour distances are odd (vendors B and C): a solid or a row
+stripe holds each row at one value, and coupling is intra-row.  So
+the checkered rounds are where the replica filter is exercised under
+contamination.
 
 Inference is validated fail-closed: structural checks (rank 8, 64
 distinct nonzero recovered columns) plus held-out probe rounds whose
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,8 +49,7 @@ from .._kernels import popcount
 from ..core.patterns import checkerboard, solid
 from ..dram.faults import ForcedFlipNoise
 from ..runtime.seeds import ladder_seed
-from .secded import (DATA_BITS, CHECK_BITS, HammingSecDed, NO_MATCH,
-                     decode_with_tables)
+from .secded import DATA_BITS, CHECK_BITS, HammingSecDed, NO_MATCH
 
 __all__ = ["InferredEcc", "EccInferenceReport", "infer_ecc",
            "validate_inference", "beer_backgrounds", "TARGET_RANK"]
@@ -65,9 +68,11 @@ def beer_backgrounds(row_bits: int, n_rows: int
                      ) -> List[Tuple[str, np.ndarray]]:
     """The BEER pattern recipe: per-round background writes.
 
-    Solids produce no data-dependent failures (the control-round
-    property), checkered/row-stripe rounds deliberately wake them so
-    the dual-slot filter is exercised under contamination.
+    Solids and the row stripe (whole rows of one value; coupling is
+    intra-row) produce no data-dependent failures - the control-round
+    property.  The checkered round wakes them on chips with odd
+    neighbour distances, so the replica filter is exercised under
+    contamination there.
     """
     stripe = np.zeros((n_rows, row_bits), dtype=np.uint8)
     stripe[1::2] = 1
@@ -167,11 +172,6 @@ class InferredEcc:
         true_rref, _ = _rref(int(m) for m in code.row_masks)
         return tuple(self.basis) == true_rref
 
-    def predict(self, errors: FrozenSet[int]) -> FrozenSet[int]:
-        """Predicted post-correction view of a data-bit error set."""
-        cols, lookup = self._tables
-        return decode_with_tables(frozenset(errors), cols, lookup)[0]
-
 
 @dataclass
 class EccInferenceReport:
@@ -263,23 +263,18 @@ def _probe_round(chip, seed: int, *path) -> Tuple[
     return copies, triples, observed
 
 
-def _classify(observed: FrozenSet[int], triple: FrozenSet[int]) -> Tuple:
-    """Outcome of one probed word: detect / miscorrection-flip / dirty."""
-    if observed == triple:
-        return ("detect",)
-    if len(observed) == len(triple) + 1 and triple < observed:
-        return ("flip", min(observed - triple))
-    return ("dirty",)
-
-
-def _paired_outcomes(chip, seed: int, *path):
-    """Replica-confirmed probe outcomes of one round, in slot order.
+def _confirmed(chip, seed: int, *path) -> Tuple[np.ndarray, np.ndarray]:
+    """Replica-confirmed probe slots of one round, as arrays.
 
     A slot's outcome counts only when all :data:`COPIES` decoupled
     copies classify identically and none is dirty.  On error masks
     that is: every copy observed the same mask ``o``, and ``o`` is
     either the triple ``t`` (detect) or ``t`` plus exactly one more
     bit (a miscorrection flip onto that bit).
+
+    Returns ``(triples, extra)`` in slot order: each confirmed slot's
+    sorted triple, and the ``uint64`` mask of its miscorrected bit
+    (0 for a detect).
     """
     copies, triples, observed = _probe_round(chip, seed, *path)
     t = np.bitwise_or.reduce(
@@ -289,10 +284,19 @@ def _paired_outcomes(chip, seed: int, *path):
     confirmed = ((o == o[0]).all(axis=0) & ((o[0] & t) == t)
                  & (popcount(extra) <= 1))
     keep = np.flatnonzero(confirmed)
+    return triples[keep], extra[keep]
+
+
+def _paired_outcomes(chip, seed: int, *path):
+    """Replica-confirmed probe outcomes of one round, in slot order.
+
+    :func:`_confirmed` as ``(frozenset(triple), outcome)`` pairs, with
+    outcome ``("detect",)`` or ``("flip", bit)``.
+    """
+    triples, extra = _confirmed(chip, seed, *path)
     return [(frozenset(triple),
              ("flip", e.bit_length() - 1) if e else ("detect",))
-            for triple, e in zip(triples[keep].tolist(),
-                                 extra[keep].tolist())]
+            for triple, e in zip(triples.tolist(), extra.tolist())]
 
 
 def infer_ecc(chip, seed: int, max_rounds: int = 24) -> InferredEcc:
@@ -354,7 +358,7 @@ def validate_inference(chip, inferred: InferredEcc, seed: int,
     """Held-out behavioral validation of an inference.
 
     Runs fresh probe rounds and requires the recovered tables to
-    predict every dual-slot-confirmed outcome exactly.  Fails closed:
+    predict every replica-confirmed outcome exactly.  Fails closed:
     a structurally-invalid basis, too few confirmable slots, or a
     single mismatch all yield ``ok=False``.
     """
@@ -362,14 +366,22 @@ def validate_inference(chip, inferred: InferredEcc, seed: int,
         return EccInferenceReport(
             ok=False, reason=inferred.note or "structurally invalid",
             inferred=inferred)
+    cols, lookup = inferred.tables()
+    cols = np.asarray(cols, dtype=np.int64)
     checked = mismatches = 0
     for round_idx in range(rounds):
-        for triple, outcome in _paired_outcomes(
-                chip, seed, "validate", round_idx):
-            predicted = _classify(inferred.predict(triple), triple)
-            checked += 1
-            if predicted != outcome:
-                mismatches += 1
+        triples, extra = _confirmed(chip, seed, "validate", round_idx)
+        # Decode every triple with the recovered tables.  A
+        # structurally valid basis has 64 distinct nonzero columns, so
+        # no syndrome looks up a flip at zero or onto the triple's own
+        # bits: the decoder leaves the triple (detect) or flips a
+        # fourth bit (a miscorrection).
+        match = lookup[np.bitwise_xor.reduce(cols[triples], axis=1)]
+        predicted = np.where(
+            match >= 0, np.uint64(1) << np.maximum(match, 0).astype(
+                np.uint64), np.uint64(0))
+        checked += len(triples)
+        mismatches += int(np.count_nonzero(predicted != extra))
     ok = mismatches == 0 and checked >= min_checked
     reason = ("" if ok else
               f"{mismatches}/{checked} held-out mismatches"

@@ -81,7 +81,7 @@ class OnDieEcc:
 
     def transform_read(self, rows: np.ndarray, phys: np.ndarray,
                        noise_rows: np.ndarray, noise_phys: np.ndarray,
-                       row_bits: int
+                       row_bits: int, n_rows: Optional[int] = None
                        ) -> Tuple[np.ndarray, np.ndarray,
                                   np.ndarray, np.ndarray]:
         """Map one read's raw flip events + noise to the observed view.
@@ -103,6 +103,13 @@ class OnDieEcc:
         cannot pin down are edited: their inputs are dropped, the
         provably-real cells are emitted once each, and the uncertain
         cells land in :attr:`ambiguous` for quarantine.
+
+        Several reads can be transformed in one call by numbering
+        their rows ``read * n_rows + row``: words of different reads
+        never share a row, and every counter and the ambiguous set
+        are sums and unions over words, so the call equals one call
+        per read.  ``n_rows`` then maps ambiguous cells back to their
+        bank row.
         """
         if self.code is None or (not len(rows) and not len(noise_rows)):
             return rows, phys, noise_rows, noise_phys
@@ -119,7 +126,7 @@ class OnDieEcc:
             out = self._lens(ekey, phys, nkey, noise_phys, n_words)
         else:
             out = self._recover(rows, phys, noise_rows, noise_phys,
-                                ekey, nkey, n_words)
+                                ekey, nkey, n_words, n_rows)
         if obs.enabled():
             for name, value in self.counts.items():
                 delta = value - self._flushed[name]
@@ -173,7 +180,8 @@ class OnDieEcc:
 
     def _recover(self, rows: np.ndarray, phys: np.ndarray,
                  noise_rows: np.ndarray, noise_phys: np.ndarray,
-                 ekey: np.ndarray, nkey: np.ndarray, n_words: np.int64
+                 ekey: np.ndarray, nkey: np.ndarray, n_words: np.int64,
+                 n_rows: Optional[int]
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Recovery mode: invert each multi-input word separately."""
         words, wcounts = np.unique(np.concatenate([ekey, nkey]),
@@ -217,8 +225,9 @@ class OnDieEcc:
                     c["recovered_words"] += 1
                     continue
                 c["ambiguous_cells"] += len(unsure)
+                bank_row = row % n_rows if n_rows else row
                 for p in unsure:
-                    self.ambiguous.add((row, word_base + p))
+                    self.ambiguous.add((bank_row, word_base + p))
                 keep_events[ei] = False
                 keep_noise[ni] = False
                 if reals:

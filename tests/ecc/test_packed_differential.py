@@ -18,8 +18,9 @@ from repro.dram import vendor
 from repro.ecc import (HammingSecDed, OnDieEcc, attach_on_die_ecc,
                        beer_backgrounds, infer_ecc, validate_inference)
 from repro.ecc import beer
-from repro.ecc.beer import COPIES, _classify
+from repro.ecc.beer import COPIES
 from repro.runtime import ladder_seed
+from repro.runtime.chaos import corrupt_inferred_ecc
 from tests import oracle
 
 CODES = {v: HammingSecDed.for_vendor(v, 0) for v in "ABC"}
@@ -132,10 +133,11 @@ def _dirty_replicas(chip, seed, round_idx):
     stride = N_ROWS // COPIES
     n_words = chip.banks[0].row_bits >> 6
     return sum(
-        _classify(observed.get((row + k * stride,
-                                (word + k * (n_words // COPIES))
-                                % n_words), frozenset()),
-                  frozenset(triples[s].tolist()))[0] == "dirty"
+        oracle.beer_classify(
+            observed.get((row + k * stride,
+                          (word + k * (n_words // COPIES)) % n_words),
+                         frozenset()),
+            frozenset(triples[s].tolist()))[0] == "dirty"
         for s, (row, word) in enumerate(slots) for k in range(COPIES))
 
 
@@ -158,6 +160,31 @@ def test_striped_rounds_drop_dirty_slots():
     assert dirty_rounds > 0
 
 
+def test_only_checkered_rounds_dirty_replicas():
+    """Contamination comes from the checkered background alone.
+
+    At 64 rows the checkered round dirties at least one replica on
+    vendors B and C, whose odd neighbour distances put opposite
+    charges side by side.  The solids, the row stripe (whole rows of
+    one value; coupling is intra-row) and vendor A's checkered round
+    (even distances) leave every replica clean.
+    """
+    for v in sorted(CODES):
+        chip = _probe_chip(v)
+        seed = ladder_seed(0, "beer", v)
+        for round_idx, (name, _) in enumerate(beer_backgrounds(
+                chip.banks[0].row_bits, N_ROWS)):
+            dirty = _dirty_replicas(chip, seed, round_idx)
+            if name == "checkered" and v in "BC":
+                assert dirty >= 1, (v, name)
+            else:
+                assert dirty == 0, (v, name, dirty)
+
+
+def _report_fields(report):
+    return (report.ok, report.checked, report.mismatches, report.reason)
+
+
 @pytest.mark.parametrize("v", sorted(CODES))
 def test_inference_and_validation_match_oracle(v, monkeypatch):
     seed = ladder_seed(0, "beer", v)
@@ -167,9 +194,29 @@ def test_inference_and_validation_match_oracle(v, monkeypatch):
     monkeypatch.setattr(beer, "_paired_outcomes",
                         oracle.beer_paired_outcomes)
     inferred_o = infer_ecc(_probe_chip(v), seed=seed)
-    report_o = validate_inference(_probe_chip(v), inferred_o, seed=vseed)
+    report_o = oracle.validate_inference(_probe_chip(v), inferred_o,
+                                         seed=vseed)
     assert inferred.ok and report.ok
     assert (inferred.basis, inferred.relations, inferred.rounds) == (
         inferred_o.basis, inferred_o.relations, inferred_o.rounds)
-    assert (report.checked, report.mismatches) == (
-        report_o.checked, report_o.mismatches)
+    assert _report_fields(report) == _report_fields(report_o)
+
+
+@pytest.mark.parametrize("fault_seed", [1, 2, 3])
+@pytest.mark.parametrize("v", sorted(CODES))
+def test_validation_of_wrong_matrix_matches_oracle(v, fault_seed):
+    """A corrupted basis: the packed decode counts every mismatch the
+    per-slot loop counts, and fails the same way."""
+    chip = _probe_chip(v)
+    inferred = infer_ecc(chip, seed=ladder_seed(0, "beer", v))
+    bad = corrupt_inferred_ecc(inferred, "wrong-matrix", seed=fault_seed)
+    vseed = ladder_seed(0, "beer", "validate", v)
+    report = validate_inference(chip, bad, seed=vseed)
+    assert _report_fields(report) == _report_fields(
+        oracle.validate_inference(chip, bad, seed=vseed))
+    assert report.mismatches > 0 and not report.ok
+    for low in (10**6, 16):
+        assert _report_fields(validate_inference(
+            chip, inferred, seed=vseed, min_checked=low)) == _report_fields(
+            oracle.validate_inference(chip, inferred, seed=vseed,
+                                      min_checked=low))

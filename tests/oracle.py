@@ -19,9 +19,15 @@ from.  It is a test fake, never a production option:
   dense read-back one by one (XOR semantics) and then force injected
   noise (union semantics).
 
-:func:`oracle_substrate` patches these onto :class:`~repro.dram.Bank`
-and :class:`~repro.dram.CoupledCellPopulation`, so a whole campaign can
-run on the oracle::
+* **level kernel** - :func:`test_regions` is the per-test loop the
+  batched :meth:`MemoryController.test_regions` replaced: every region
+  test is two single tests (:func:`test_rows_patched`, pattern then
+  inverse), each a dense write and a full read-back.
+
+:func:`oracle_substrate` patches these onto :class:`~repro.dram.Bank`,
+:class:`~repro.dram.CoupledCellPopulation` and
+:class:`~repro.dram.controller.MemoryController`, so a whole campaign
+can run on the oracle::
 
     with oracle_substrate():
         expected = run_parbor(chip, cfg, seed=7)
@@ -38,8 +44,10 @@ The on-die ECC stage has its oracles here too, for
 ``tests/ecc/test_secded.py``: :func:`lens_transform_read` decodes a
 read word by word with ``decode_error_set``,
 :func:`beer_probe_round` / :func:`beer_paired_outcomes` group and
-classify BEER probe observations as dicts of frozensets, and
-:func:`encode_ref` / :func:`decode_ref` XOR ``H`` columns bit by bit.
+classify (:func:`beer_classify`) BEER probe observations as dicts of
+frozensets, :func:`validate_inference` predicts held-out slots one at
+a time, and :func:`encode_ref` / :func:`decode_ref` XOR ``H`` columns
+bit by bit.
 """
 
 from contextlib import contextmanager
@@ -51,18 +59,22 @@ from repro import obs
 from repro._kernels import WORD_BITS, pack_rows, unpack_rows
 from repro.dram.bank import Bank
 from repro.dram.cells import NO_NEIGHBOUR, CoupledCellPopulation
+from repro.dram.controller import MemoryController
 from repro.dram.faults import ForcedFlipNoise
-from repro.ecc.beer import COPIES, _classify, beer_backgrounds
+from repro.ecc.beer import (COPIES, EccInferenceReport, InferredEcc,
+                            beer_backgrounds)
 from repro.ecc.ondie import OnDieEcc
 from repro.ecc.secded import (CHECK_BITS, CHECK_COLUMN, CLEAN, CORRECTED,
                               CORRECTED_CHECK, DETECTED, MISCORRECTED,
-                              UNDETECTED, HammingSecDed)
+                              UNDETECTED, HammingSecDed,
+                              decode_with_tables)
 from repro.runtime.seeds import ladder_seed
 
 __all__ = ["write_rows", "write_rows_patched", "evaluate_failures",
            "retention_read_rows", "retention_check_cells",
-           "oracle_substrate", "injected_cells", "lens_transform_read",
-           "beer_probe_round", "beer_paired_outcomes", "encode_ref",
+           "test_rows_patched", "test_regions", "oracle_substrate", "injected_cells", "lens_transform_read",
+           "beer_probe_round", "beer_classify", "beer_paired_outcomes",
+           "validate_inference", "encode_ref",
            "decode_ref"]
 
 
@@ -227,6 +239,62 @@ def retention_check_cells(bank: Bank, rows: np.ndarray,
             != written[check_row_idx, check_cols])
 
 
+# -- region-test kernel -----------------------------------------------------
+
+
+def test_rows_patched(ctrl: MemoryController, bank: int, rows: np.ndarray,
+                      base: int, spans, points, check_row_idx: np.ndarray,
+                      check_cols: np.ndarray,
+                      coupled_rows_only: bool = False) -> np.ndarray:
+    """One region-test half: a dense patched write, then a cell check.
+
+    Writes the background-plus-patches image, waits one retention
+    interval and returns the checked cells' corruption mask, with the
+    controller's accounting and ``test`` span of a single test.
+    """
+    rows = np.asarray(rows)
+    b = ctrl.chip.bank(bank)
+    return ctrl._run_test(
+        "patched", bank, len(rows),
+        lambda: write_rows_patched(b, rows, base, spans=spans,
+                                   points=points),
+        lambda _: retention_check_cells(
+            b, rows, check_row_idx, check_cols,
+            coupled_rows_only=coupled_rows_only))
+
+
+def test_regions(ctrl: MemoryController, bank: int, rows: np.ndarray,
+                 victims: Tuple[np.ndarray, np.ndarray],
+                 starts: np.ndarray, size: int,
+                 coupled_rows_only: bool = False) -> np.ndarray:
+    """Per-test image of :meth:`MemoryController.test_regions`.
+
+    The loop the batched kernel replaced: each region test runs as
+    two single tests - pattern, then inverse - each writing the
+    whole image densely and reading it back before the next starts.
+    """
+    row_pos, cols = victims
+    starts = np.asarray(starts)
+    failed = np.zeros(starts.shape, dtype=bool)
+    for t, test_starts in enumerate(starts):
+        use = test_starts >= 0
+        rows_of = row_pos[use]
+        flip_pos = test_rows_patched(
+            ctrl, bank, rows, base=1,
+            spans=(rows_of, test_starts[use], size, 0),
+            points=(row_pos, cols, 1),
+            check_row_idx=row_pos, check_cols=cols,
+            coupled_rows_only=coupled_rows_only)
+        flip_inv = test_rows_patched(
+            ctrl, bank, rows, base=0,
+            spans=(rows_of, test_starts[use], size, 1),
+            points=(row_pos, cols, 0),
+            check_row_idx=row_pos, check_cols=cols,
+            coupled_rows_only=coupled_rows_only)
+        failed[t] = (flip_pos | flip_inv) & use
+    return failed
+
+
 # -- campaign-level switch -----------------------------------------------
 
 
@@ -236,6 +304,7 @@ _PATCHES = (
     (Bank, "retention_read_rows", retention_read_rows),
     (Bank, "retention_check_cells", retention_check_cells),
     (CoupledCellPopulation, "evaluate_failures", _evaluate_packed_state),
+    (MemoryController, "test_regions", test_regions),
 )
 
 
@@ -445,6 +514,16 @@ def beer_probe_round(chip, seed: int, *path) -> Tuple[
     return slots, triples, observed
 
 
+def beer_classify(observed: FrozenSet[int], triple: FrozenSet[int]
+                  ) -> Tuple:
+    """Outcome of one probed word: detect / miscorrection-flip / dirty."""
+    if observed == triple:
+        return ("detect",)
+    if len(observed) == len(triple) + 1 and triple < observed:
+        return ("flip", min(observed - triple))
+    return ("dirty",)
+
+
 def beer_paired_outcomes(chip, seed: int, *path):
     """Per-slot image of :func:`repro.ecc.beer._paired_outcomes`.
 
@@ -459,7 +538,7 @@ def beer_paired_outcomes(chip, seed: int, *path):
     for s, (row, word) in enumerate(slots):
         triple = frozenset(int(t) for t in triples[s])
         classes = {
-            _classify(observed.get(
+            beer_classify(observed.get(
                 (row + k * stride,
                  (word + k * (n_words // COPIES)) % n_words),
                 frozenset()), triple)
@@ -469,6 +548,38 @@ def beer_paired_outcomes(chip, seed: int, *path):
             if outcome[0] != "dirty":
                 outcomes.append((triple, outcome))
     return outcomes
+
+
+def validate_inference(chip, inferred: InferredEcc, seed: int,
+                       rounds: int = 2, min_checked: int = 16
+                       ) -> EccInferenceReport:
+    """Per-slot image of :func:`repro.ecc.beer.validate_inference`.
+
+    Predicts every confirmed held-out slot one at a time: decode the
+    triple with the recovered tables, classify, compare.
+    """
+    if not inferred.ok or not inferred.structurally_valid():
+        return EccInferenceReport(
+            ok=False, reason=inferred.note or "structurally invalid",
+            inferred=inferred)
+    cols, lookup = inferred.tables()
+    checked = mismatches = 0
+    for round_idx in range(rounds):
+        for triple, outcome in beer_paired_outcomes(
+                chip, seed, "validate", round_idx):
+            seen = decode_with_tables(frozenset(triple), cols, lookup)[0]
+            predicted = beer_classify(seen, triple)
+            checked += 1
+            if predicted != outcome:
+                mismatches += 1
+    ok = mismatches == 0 and checked >= min_checked
+    reason = ("" if ok else
+              f"{mismatches}/{checked} held-out mismatches"
+              if checked >= min_checked else
+              f"only {checked} confirmable slots")
+    return EccInferenceReport(ok=ok, checked=checked,
+                              mismatches=mismatches, reason=reason,
+                              inferred=inferred)
 
 
 # -- SEC-DED reference path ---------------------------------------------------
