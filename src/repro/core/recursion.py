@@ -216,7 +216,7 @@ def _revote_region(controllers: Sequence[MemoryController],
     Returns the per-victim mask of candidates whose failure was
     *upheld* by the vote.
     """
-    from ..robust.vote import reseed_banks
+    from ..robust.vote import reseed_bank
 
     touched = {key for key, group in groups.items()
                if candidates[group.victim_idx].any()}
@@ -237,8 +237,9 @@ def _revote_region(controllers: Sequence[MemoryController],
         if not undecided.any():
             break
         sub_groups = _filter_groups(groups, undecided)
-        reseed_banks(controllers, seed, "robust.recursion", *path, rep,
-                     only=sub_groups.keys())
+        for chip_idx, bank_idx in sub_groups:
+            reseed_bank(controllers[chip_idx].chip.banks[bank_idx], seed,
+                        "robust.recursion", *path, rep, chip_idx, bank_idx)
         again = _run_region_tests(controllers, sub_groups,
                                   [(sub_abs, covered)], region_size,
                                   revote=True)[0]
@@ -279,22 +280,19 @@ def _revote_uncorroborated(controllers: Sequence[MemoryController],
     majority of failures report the true distances, and those have
     hundreds of reporters.
     """
-    counts: Dict[int, int] = {}
-    dist_of: List[np.ndarray] = []
-    for sub_abs, covered, failed, _path in pending:
-        dd = sub_abs - v_region
-        dist_of.append(dd)
-        for v in np.flatnonzero(failed & covered).tolist():
-            dist = int(dd[v])
-            counts[dist] = counts.get(dist, 0) + 1
-    for (sub_abs, covered, failed, path), dd in zip(pending, dist_of):
-        observed = failed & covered
-        if not observed.any():
-            continue
-        suspicious = observed.copy()
-        for v in np.flatnonzero(observed).tolist():
-            if counts[int(dd[v])] >= CORROBORATION_FLOOR:
-                suspicious[v] = False
+    if not pending:
+        return
+    # Per test and victim: the child distance a failure reports, and
+    # whether fewer than CORROBORATION_FLOOR failures level-wide
+    # report it.
+    dist = np.stack([sub_abs for sub_abs, *_ in pending]) - v_region
+    observed = np.stack([failed & covered
+                         for _s, covered, failed, _p in pending])
+    reported, reporters = np.unique(dist[observed], return_counts=True)
+    crowd = reported[reporters >= CORROBORATION_FLOOR]
+    suspicious_tests = observed & ~np.isin(dist, crowd)
+    for (sub_abs, covered, failed, path), suspicious in zip(
+            pending, suspicious_tests):
         if not suspicious.any():
             continue
         upheld = _revote_region(controllers, groups, sub_abs, covered,

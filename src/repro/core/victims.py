@@ -12,9 +12,11 @@ filtered later by the ranking stage (Section 5.2.4).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
@@ -76,43 +78,94 @@ class VictimSample:
                    observed_failures=observed)
 
 
+class CellKeys:
+    """One ``int64`` key per ``(chip, bank, row, col)`` cell of a target.
+
+    ``key = ((chip * n_banks + bank) * n_rows + row) * row_bits + col``
+    over the controllers' largest geometry, so key order is
+    lexicographic coordinate order: the discovery histogram and the
+    robust vote ledger count, sort and merge cells as plain integers
+    and turn them back into coordinates once.
+    """
+
+    def __init__(self, controllers: Sequence[MemoryController]) -> None:
+        self.n_banks = max(c.n_banks for c in controllers)
+        self.n_rows = max(c.n_rows for c in controllers)
+        self.row_bits = controllers[0].row_bits
+
+    def encode(self, chip: int, bank: int, rows: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+        return (((np.int64(chip) * self.n_banks + bank) * self.n_rows
+                 + rows.astype(np.int64)) * self.row_bits
+                + cols.astype(np.int64))
+
+    def decode(self, keys: np.ndarray) -> List[Coord]:
+        cols = keys % self.row_bits
+        rest = keys // self.row_bits
+        rows = rest % self.n_rows
+        rest //= self.n_rows
+        return list(zip((rest // self.n_banks).tolist(),
+                        (rest % self.n_banks).tolist(), rows.tolist(),
+                        cols.tolist()))
+
+
+def whole_chip_failures(controllers: Sequence[MemoryController],
+                        patterns: np.ndarray, keys: CellKeys,
+                        reseed: Optional[Callable[[int, int, int], None]]
+                        = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Run T whole-chip tests on every chip; key every failure.
+
+    One :meth:`MemoryController.test_patterns` call per chip runs all
+    T tests as one kernel per bank.  Chips and banks have independent
+    RNG streams, so this is the same experiment as running the tests
+    one by one over every chip.
+
+    Args:
+        controllers: one per chip.
+        patterns: ``(T, row_bits)`` system-order patterns.
+        keys: the cell encoding.
+        reseed: optional ``reseed(chip_idx, bank_idx, t)``, called just
+            before test ``t`` draws on that bank.
+
+    Returns:
+        ``(tests, cells)``: the test index and :class:`CellKeys` key of
+        every failing coordinate, duplicates kept.
+    """
+    tests: List[np.ndarray] = []
+    cells: List[np.ndarray] = []
+    for chip_idx, ctrl in enumerate(controllers):
+        chip_reseed = (None if reseed is None
+                       else functools.partial(reseed, chip_idx))
+        per_bank = ctrl.test_patterns(patterns, chip_reseed)
+        for bank_idx, (t, rows, cols) in enumerate(per_bank):
+            tests.append(t)
+            cells.append(keys.encode(chip_idx, bank_idx, rows, cols))
+    return np.concatenate(tests), np.concatenate(cells)
+
+
 def _failure_histogram(controllers: Sequence[MemoryController],
                        patterns: Iterable[np.ndarray]
                        ) -> Tuple[List[Coord], np.ndarray]:
     """Run whole-chip tests and histogram the failing coordinates.
 
-    Every pattern is tested on every chip in turn (pattern-major, the
-    order that fixes each bank's RNG draws).  Each failure is encoded
-    as one int64 per ``(chip, bank, row, col)`` cell and the encodings
-    are counted in a single ``np.unique`` pass instead of a per-cell
-    dict update.  Encoded order is lexicographic coordinate order, so
-    the returned coordinates are sorted.
+    Every pattern is tested on every chip (:func:`whole_chip_failures`)
+    and the :class:`CellKeys` of the failures are counted in a single
+    ``np.unique`` pass - every failure event counts, so a cell reported
+    twice by one test counts twice.  The returned coordinates are
+    sorted.
 
     Returns:
         ``(coords, counts)``: the distinct failing cells and how many
-        tests each failed.
+        failure events each had.
     """
-    n_rows = max(c.n_rows for c in controllers)
-    n_banks = max(c.n_banks for c in controllers)
-    row_bits = controllers[0].row_bits
-    chunks: List[np.ndarray] = []
-    for pattern in patterns:
-        for chip_idx, ctrl in enumerate(controllers):
-            per_bank = ctrl.test_pattern(pattern)
-            for bank_idx, (rows, cols) in enumerate(per_bank):
-                chunks.append((((np.int64(chip_idx) * n_banks + bank_idx)
-                                * n_rows + rows.astype(np.int64))
-                               * row_bits + cols.astype(np.int64)))
-    if not chunks:
+    patterns = list(patterns)
+    if not patterns:
         return [], np.empty(0, dtype=np.int64)
-    uniq, counts = np.unique(np.concatenate(chunks), return_counts=True)
-    cols = uniq % row_bits
-    rest = uniq // row_bits
-    rows = rest % n_rows
-    rest //= n_rows
-    coords = list(zip((rest // n_banks).tolist(), (rest % n_banks).tolist(),
-                      rows.tolist(), cols.tolist()))
-    return coords, counts
+    keys = CellKeys(controllers)
+    _tests, cells = whole_chip_failures(controllers, np.stack(patterns),
+                                        keys)
+    uniq, counts = np.unique(cells, return_counts=True)
+    return keys.decode(uniq), counts
 
 
 def find_initial_victims(controllers: Sequence[MemoryController],

@@ -16,9 +16,11 @@ the bank historically stored, and every operation leaves
 ``unpack(charge_words)`` in the same state, and consumes the bank RNG
 identically, as the straight-line per-cell oracle in
 ``tests/oracle.py``.  ``tests/runtime/test_kernel_differential.py``,
-``tests/runtime/test_packed_kernels.py`` and
+``tests/runtime/test_packed_kernels.py``,
 ``tests/runtime/test_level_kernel.py`` (the batched region-test
-halves, ``docs/KERNELS.md`` section 3) enforce this differentially.
+halves, ``docs/KERNELS.md`` section 3) and
+``tests/runtime/test_sweep_kernel.py`` (the batched whole-chip test
+halves, section 4) enforce this differentially.
 
 True vs. anti cells: a *true* cell stores data '1' as charge, an *anti*
 cell stores data '0' as charge (paper footnote 3). We model polarity
@@ -28,7 +30,7 @@ per row - sense-amplifier orientation alternates between rows - via an
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,13 +42,15 @@ from .cells import CoupledCellPopulation
 from .faults import RandomFaultModel
 from .mapping import AddressMapping
 
-__all__ = ["Bank", "PatchedImages"]
+__all__ = ["Bank", "PatchedImages", "PatternImages"]
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+_EMPTY = np.empty(0, dtype=np.int64)
 
 #: Cells x retention waits one chunk of a batched
-#: :meth:`Bank.retention_check_cells` evaluates at once - the bound on
-#: its stacked per-wait state (a few MB whatever the batch size).
+#: :meth:`Bank.retention_failures` or :meth:`Bank.retention_check_cells`
+#: evaluates at once - the bound on its stacked per-wait state (a few
+#: MB whatever the batch size).
 CHUNK_CELLS = 1 << 18
 
 
@@ -69,6 +73,60 @@ class PatchedImages(NamedTuple):
     point_row: np.ndarray
     point_col: np.ndarray
     point_value: np.ndarray
+
+
+class PatternImages(NamedTuple):
+    """The T whole-bank images one batched :meth:`Bank.write_all` wrote.
+
+    ``data[t, r]`` is image ``t``'s system-order data for row ``r``
+    (per-row images) or for every row (``r = 0``, broadcast images).
+    The data does not change from row to row apart from polarity, so
+    a cell's charge under image ``t`` is a gather from ``data[t]``
+    XOR its row's polarity - no image is ever scrambled or packed.
+    """
+
+    data: np.ndarray
+
+    def planes(self, rows: np.ndarray, phys: np.ndarray,
+               mapping: AddressMapping, anti_rows: np.ndarray):
+        """``planes(t0, t1)``: charge of cells ``(rows, phys)`` per image.
+
+        A bool ``(t1 - t0, n_cells)`` gather from the images' data.  A
+        position past the row (a coupled cell nudged off a one-bit
+        tile) reads as uncharged, like the zero tail of a packed row.
+        """
+        n_tests, n_img, rb = self.data.shape
+        inside = phys < rb
+        cols = mapping.phys_to_sys()[np.where(inside, phys, 0)]
+        idx = (rows * rb if n_img > 1 else 0) + cols
+        flip = (anti_rows[rows] & inside).astype(np.uint8)
+        flat = self.data.reshape(n_tests, -1)
+        outside = np.flatnonzero(~inside)
+
+        def planes(t0: int, t1: int) -> np.ndarray:
+            charge = flat[t0:t1].take(idx, axis=1) != flip
+            charge[:, outside] = False
+            return charge
+
+        return planes
+
+
+def _by_test(parts, n_waits: int):
+    """Concatenate ``(tests, rows, phys)`` parts, stably grouped by test.
+
+    ``tests`` is an array, or the wait index of a part that belongs to
+    one wait.  Within a test the parts keep their order, and so do the
+    coordinates within a part.  A single wait needs no grouping.
+    """
+    parts = [p for p in parts if len(p[1])] or [(0, _EMPTY, _EMPTY)]
+    rows, phys = (np.concatenate([np.asarray(p[i], dtype=np.int64)
+                                  for p in parts]) for i in (1, 2))
+    if n_waits == 1:
+        return np.broadcast_to(np.int64(0), rows.shape), rows, phys
+    tests = np.concatenate([np.broadcast_to(p[0], len(p[1]))
+                            for p in parts]).astype(np.int64, copy=False)
+    order = np.argsort(tests, kind="stable")
+    return tests[order], rows[order], phys[order]
 
 
 class Bank:
@@ -271,9 +329,32 @@ class Bank:
                                     images.point_col], charge_v)
         self.charge_words[rows] = block
 
-    def write_all(self, data_sys: np.ndarray) -> None:
-        """Write every row with the same (or per-row) system-order data."""
-        self.write_rows(np.arange(self.n_rows), data_sys)
+    def write_all(self, data_sys: np.ndarray
+                  ) -> Optional["PatternImages"]:
+        """Write every row with the same (or per-row) system-order data.
+
+        With a leading *test axis* - ``data_sys`` of shape ``(T, 1,
+        row_bits)`` (one broadcast pattern per test) or ``(T, n_rows,
+        row_bits)`` (per-row patterns) - the call writes T images one
+        after another, as T consecutive tests would: the bank keeps the
+        last, and the returned :class:`PatternImages` describe all of
+        them for :meth:`retention_failures`.  This is the write half of
+        the whole-chip test.
+        """
+        data_sys = np.asarray(data_sys, dtype=np.uint8)
+        every_row = np.arange(self.n_rows)
+        if data_sys.ndim < 3:
+            self.write_rows(every_row, data_sys)
+            return None
+        n_tests, n_img, rb = data_sys.shape
+        if not n_tests or n_img not in (1, self.n_rows) \
+                or rb != self.row_bits:
+            raise ValueError(
+                f"images must have shape (T, 1 or {self.n_rows}, "
+                f"{self.row_bits}) with T >= 1")
+        self.write_rows(every_row, data_sys[-1, 0] if n_img == 1
+                        else data_sys[-1])
+        return PatternImages(data_sys)
 
     def read_row(self, row: int) -> np.ndarray:
         """Immediate (non-retention) read of one row, system order."""
@@ -357,22 +438,85 @@ class Bank:
         on_sys = p2s[on_phys] if len(on_phys) else empty
         return o_rows, o_sys, on_rows, on_sys
 
-    def retention_failures(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Evaluate one retention wait; return failing coordinates.
+    def retention_failures(self, images: Optional["PatternImages"] = None,
+                           reseed: Optional[Callable[[int], None]] = None):
+        """Evaluate retention waits; return failing coordinates.
+
+        The read half of the whole-chip test.  Every coupled and fault
+        cell is decided from its charge, so the result is exactly the
+        observable a system-level test sees: the data-dependent flips,
+        the random-fault flips and any injected device noise - after
+        the on-die ECC stage, when one is attached.  Without ``images``
+        it runs one wait over the bank as it is.  With the
+        :class:`PatternImages` of a batched :meth:`write_all` it runs
+        one wait per image, as if each had been written just before
+        its own wait (``docs/KERNELS.md`` section 4):
+
+        * **RNG order.** Every wait draws exactly what a single read
+          draws, in order - the coupled-cell coins, the fault model's
+          draws (:meth:`RandomFaultModel.draw`), then the device-noise
+          coins - so the bank stream, the VRT state and the noise
+          clock end where T single tests leave them.  ``reseed(t)``,
+          when given, runs just before wait ``t`` draws (the robust
+          sweep's per-round seed ladder).
+        * **Multiplicity.** A wait's coordinates are its flip events
+          - coupled, weak, soft-error, VRT, marginal, in that order -
+          then its noise cells, duplicates kept.
+        * **ECC.** With a real code each chunk of waits goes through
+          one :meth:`~repro.ecc.OnDieEcc.transform_read` call, each
+          wait's rows numbered ``wait * n_rows + row``.
+
+        Stacked per-wait state is evaluated in chunks of at most
+        :data:`CHUNK_CELLS` cells x waits.
 
         Returns:
-            ``(rows, sys_cols)`` of all cells whose read-back after the
-            retention interval mismatches what was written - the union
-            of data-dependent flips, random-fault flips, and any
-            injected device noise, exactly the observable a
-            system-level test sees - after the on-die ECC stage, when
-            one is attached.
+            ``(rows, sys_cols)`` without ``images``; with them
+            ``(tests, rows, sys_cols)``, grouped by test in test
+            order, each test's coordinates in single-wait order.
         """
-        rows, sys_cols, n_rows, n_sys = self._observed_errors()
-        if len(n_rows):
-            rows = np.concatenate([rows, n_rows])
-            sys_cols = np.concatenate([sys_cols, n_sys])
-        return rows, sys_cols
+        n_tests = 1 if images is None else len(images.data)
+        every = [slice(None)] * 4
+        sel_rows, sel_phys, pos_rows, pos_phys, bounds = \
+            self._positions(every)
+        if images is None:
+            stored = gather_bits(self.charge_words, pos_rows,
+                                 pos_phys).astype(bool)
+            planes = lambda t0, t1: stored[None]  # noqa: E731
+        else:
+            planes = images.planes(pos_rows, pos_phys, self.mapping,
+                                   self.anti_rows)
+        rb, n = self.row_bits, self.n_rows
+        lens = self.ecc is not None and self.ecc.code is not None
+        parts = []
+        for t0, draws, failing in self._wait_chunks(
+                every, len(self.coupled), slice(None), planes, bounds,
+                n_tests, reseed):
+            k = len(draws)
+            hits = [(tt, r[kk], p[kk]) for (tt, kk), r, p in
+                    zip(map(np.nonzero, failing), sel_rows, sel_phys)]
+            events = hits[:2] + [(i, d[1] // rb, d[1] % rb)
+                                 for i, d in enumerate(draws)] + hits[2:]
+            noise = [(i, *d[4]) for i, d in enumerate(draws)]
+            if lens:
+                # Wait i's rows are numbered i * n + row.
+                events, noise = _by_test(events, k), _by_test(noise, k)
+                if k > 1:
+                    events = (events[0] * n + events[1], events[2])
+                    noise = (noise[0] * n + noise[1], noise[2])
+                else:
+                    events, noise = events[1:], noise[1:]
+                o_rows, o_phys, on_rows, on_phys = self.ecc.transform_read(
+                    *events, *noise, rb, n_rows=n)
+                events = [(o_rows // n, o_rows % n, o_phys)]
+                noise = [(on_rows // n, on_rows % n, on_phys)]
+            tests, rows, phys = _by_test(events + noise, k)
+            parts.append((tests + t0, rows, phys))
+        tests, rows, phys = (parts[0] if len(parts) == 1 else
+                             (np.concatenate(a) for a in zip(*parts)))
+        sys_cols = self.mapping.phys_to_sys()[phys]
+        if images is None:
+            return rows, sys_cols
+        return tests, rows, sys_cols
 
     def retention_read_rows(self, rows: np.ndarray,
                             coupled_rows_only: bool = False
@@ -481,7 +625,6 @@ class Bank:
         check_enc = (rows[check_row_idx].astype(np.int64) * rb
                      + check_cols)
         pop = self.coupled
-        populations = [(pop.row, pop.phys), *self.faults.cells()]
         # The coupled cells each wait draws coins for: all of them, or
         # on a re-vote stream only those in ``rows``.
         members = slice(None)
@@ -503,33 +646,17 @@ class Bank:
             sel = [members[hit] if coupled_rows_only else coin_idx]
             sel += [np.flatnonzero(self._sorted_member(targets, k))
                     for k in keys[1:]]
-        slots = pop.slot_cols()[sel[0]]
-        n_slot = slots.shape[1]
-        sel_rows = [r[s] for (r, _), s in zip(populations, sel)]
-        sel_phys = [p[s] for (_, p), s in zip(populations, sel)]
-        pos_rows = np.concatenate([np.repeat(sel_rows[0], n_slot),
-                                   *sel_rows[1:]])
-        pos_phys = np.concatenate([slots.ravel(), *sel_phys[1:]])
-        bounds = np.cumsum([len(sel_rows[0]) * n_slot]
-                           + [len(r) for r in sel_rows[1:]])
+        sel_rows, sel_phys, pos_rows, pos_phys, bounds = \
+            self._positions(sel)
         planes = self._charge_planes(pos_rows, pos_phys, images)
         if not lens:
             coords = [np.searchsorted(targets, k[s])
                       for k, s in zip(keys, sel)]
 
         out = np.empty((n_tests, len(check_enc)), dtype=bool)
-        step = max(1, CHUNK_CELLS // max(len(pos_rows), 1))
-        for t0 in range(0, n_tests, step):
-            t1 = min(n_tests, t0 + step)
-            draws = [self._draw_read(n_coins, coin_idx, sel[2], sel[3])
-                     for _ in range(t0, t1)]
-            charged = np.split(planes(t0, t1), bounds[:-1], axis=1)
-            failing = [pop.exposure(
-                charged[0].reshape(t1 - t0, -1, n_slot),
-                np.stack([d[0] for d in draws]), self.stress, sel[0])]
-            failing += self.faults.hits(
-                self.stress, charged[1:], np.stack([d[2] for d in draws]),
-                np.stack([d[3] for d in draws]), sel[1:])
+        for t0, draws, failing in self._wait_chunks(
+                sel, n_coins, coin_idx, planes, bounds, n_tests):
+            t1 = t0 + len(draws)
             if lens:
                 out[t0:t1] = self._ecc_check(
                     failing, sel_rows, sel_phys, draws, check_enc)
@@ -537,6 +664,61 @@ class Bank:
                 out[t0:t1] = self._visible_check(
                     failing, coords, draws, targets)[:, check_coord]
         return out if images is not None else out[0]
+
+    def _positions(self, sel):
+        """The cells a wait reads the charge of.
+
+        ``sel`` selects members of each population (coupled, weak,
+        VRT, marginal).  Returns ``(sel_rows, sel_phys, pos_rows,
+        pos_phys, bounds)``: per population the selected cells'
+        coordinates, then every position read - each selected coupled
+        victim's :meth:`~CoupledCellPopulation.slot_cols`, then the
+        fault cells themselves - with ``bounds`` the cumulative
+        position count per population.
+        """
+        pop = self.coupled
+        populations = [(pop.row, pop.phys), *self.faults.cells()]
+        slots = pop.slot_cols()[sel[0]]
+        sel_rows = [r[s] for (r, _), s in zip(populations, sel)]
+        sel_phys = [p[s] for (_, p), s in zip(populations, sel)]
+        pos_rows = np.concatenate([np.repeat(sel_rows[0], slots.shape[1]),
+                                   *sel_rows[1:]])
+        pos_phys = np.concatenate([slots.ravel(), *sel_phys[1:]])
+        bounds = np.cumsum([slots.size] + [len(r) for r in sel_rows[1:]])
+        return sel_rows, sel_phys, pos_rows, pos_phys, bounds
+
+    def _wait_chunks(self, sel, n_coins: int, coin_idx, planes,
+                     bounds: np.ndarray, n_tests: int,
+                     reseed: Optional[Callable[[int], None]] = None):
+        """Decide ``n_tests`` retention waits, a chunk at a time.
+
+        Each wait draws what a single read draws, in order
+        (:meth:`_draw_read`; ``reseed(t)`` first, when given); each
+        chunk of at most :data:`CHUNK_CELLS` positions x waits is then
+        decided at once from ``planes(t0, t1)``, the charge of the
+        :meth:`_positions` under each wait's image.  Yields ``(t0,
+        draws, failing)`` with one ``(waits, cells)`` failure mask per
+        population (coupled, weak, VRT, marginal).
+        """
+        pop = self.coupled
+        n_slot = pop.slot_cols().shape[1]
+        step = max(1, CHUNK_CELLS // max(int(bounds[-1]), 1))
+        for t0 in range(0, n_tests, step):
+            t1 = min(n_tests, t0 + step)
+            draws = []
+            for t in range(t0, t1):
+                if reseed is not None:
+                    reseed(t)
+                draws.append(self._draw_read(n_coins, coin_idx, sel[2],
+                                             sel[3]))
+            charged = np.split(planes(t0, t1), bounds[:-1], axis=1)
+            failing = [pop.exposure(
+                charged[0].reshape(t1 - t0, -1, n_slot),
+                np.stack([d[0] for d in draws]), self.stress, sel[0])]
+            failing += self.faults.hits(
+                self.stress, charged[1:], np.stack([d[2] for d in draws]),
+                np.stack([d[3] for d in draws]), sel[1:])
+            yield t0, draws, failing
 
     def _cell_keys(self):
         """Per population (coupled, weak, VRT, marginal), cell keys.

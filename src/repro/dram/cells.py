@@ -253,7 +253,8 @@ class CoupledCellPopulation:
         first_order = None
         phys_to_sys = None
         if mapping is not None:
-            first_order = set(mapping.neighbour_distance_set())
+            first_order = np.asarray(mapping.neighbour_distance_set(),
+                                     dtype=np.int64)
             phys_to_sys = mapping.phys_to_sys()
         for j in range(MAX_CONTEXT):
             offset = j + 2
@@ -269,9 +270,7 @@ class CoupledCellPopulation:
                     ok = ctx != NO_NEIGHBOUR
                     sys_d = (phys_to_sys[ctx[ok]]
                              - phys_to_sys[phys[ok]])
-                    collide = np.asarray(
-                        [int(d) in first_order for d in sys_d],
-                        dtype=bool)
+                    collide = np.isin(sys_d, first_order)
                     tmp = ctx[ok]
                     tmp[collide] = NO_NEIGHBOUR
                     ctx[ok] = tmp

@@ -135,15 +135,17 @@ class MemoryController:
         self.stats.tests += tests
         self.stats.rows_read += n_rows * tests
 
-    def _run_test(self, kind: str, bank: int, n_rows: int,
+    def _run_test(self, kind: str, n_rows: int,
                   write: Callable[[], Any],
-                  read: Callable[[Any], np.ndarray],
-                  tests: int = 1) -> np.ndarray:
+                  read: Callable[[Any], Any],
+                  tests: int = 1, **where: int) -> Any:
         """Run ``tests`` write -> wait -> read tests, traced when obs is on.
 
-        ``read`` receives what ``write`` returned.  The untraced
-        branch is the exact pre-observability sequence; the traced
-        branch wraps the same calls in one ``test`` span (with
+        ``read`` receives what ``write`` returned; each test writes and
+        reads ``n_rows`` rows.  The untraced branch is the exact
+        pre-observability sequence; the traced branch wraps the same
+        calls in one ``test`` span (``kind``, ``rows``, ``tests`` and
+        the ``where`` attributes - ``bank`` or ``banks`` - with
         ``phase.*`` children) and feeds the engine wall-time
         histogram.  Accounting and RNG draw order are identical on
         both branches.
@@ -155,9 +157,8 @@ class MemoryController:
             return read(written)
         tracer = sess.tracer
         t0 = time.perf_counter()
-        attrs = {"tests": tests} if tests != 1 else {}
-        with tracer.span("test", kind=kind, bank=bank, rows=n_rows,
-                         **attrs):
+        with tracer.span("test", kind=kind, rows=n_rows, tests=tests,
+                         **where):
             with tracer.span("phase.write"):
                 written = write()
             with tracer.span(
@@ -186,10 +187,10 @@ class MemoryController:
         rows = np.asarray(rows)
         b = self.chip.bank(bank)
         return self._run_test(
-            "rows", bank, len(rows),
+            "rows", len(rows),
             lambda: b.write_rows(rows, data_sys),
             lambda _: b.retention_read_rows(
-                rows, coupled_rows_only=coupled_rows_only))
+                rows, coupled_rows_only=coupled_rows_only), bank=bank)
 
     def test_regions(self, bank: int, rows: np.ndarray,
                      victims: Tuple[np.ndarray, np.ndarray],
@@ -241,54 +242,64 @@ class MemoryController:
                  np.repeat(starts.astype(np.int32), 2, axis=0), size,
                  1 - base)
         flips = self._run_test(
-            "regions", bank, len(rows),
+            "regions", len(rows),
             lambda: b.write_rows_patched(all_rows, base, spans=spans,
                                          points=(row_idx, cols, base)),
             lambda images: b.retention_check_cells(
                 all_rows, row_idx, cols,
                 coupled_rows_only=coupled_rows_only, images=images),
-            tests=n_tests)
+            tests=n_tests, bank=bank)
         return (flips[0::2] | flips[1::2]) & covered
 
-    def _whole_chip_test(self, data_sys: np.ndarray, kind: str
-                         ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Shared write-all / read-back loop of the whole-chip tests.
+    def test_patterns(self, data_sys: np.ndarray,
+                      reseed: Optional[Callable[[int, int], None]] = None
+                      ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """T whole-chip tests, as one batched kernel per bank.
 
-        Per-bank write/read interleaving (and therefore the RNG draw
-        order of ``retention_failures``) is identical whether or not
-        tracing is active; the traced branch only wraps the same calls
-        in spans.
+        Test ``t`` writes its pattern to every row of every bank, waits
+        one retention interval and reads every row back.  The tests
+        only write rows and never read each other's results, and banks
+        have independent RNG streams, so each bank runs its T tests in
+        one go: :meth:`~repro.dram.bank.Bank.write_all` with a test
+        axis describes all T images, and one
+        :meth:`~repro.dram.bank.Bank.retention_failures` call evaluates
+        all T waits with the bank's RNG draws in the order T single
+        tests make them (``docs/KERNELS.md`` section 4).  Accounting is
+        T tests over every row of every bank; a traced run records one
+        ``test`` span with ``tests=T``.
+
+        Args:
+            data_sys: ``(T, row_bits)`` - one system-order pattern per
+                test, written to every row - or ``(T, n_rows,
+                row_bits)`` per-row patterns.
+            reseed: optional ``reseed(bank_idx, t)``, called just
+                before test ``t`` draws on bank ``bank_idx`` (the robust
+                sweep's per-round seed ladder).
+
+        Returns:
+            Per bank, ``(tests, rows, sys_cols)`` of every failing
+            coordinate, grouped by test; each test's coordinates are
+            in the order (and with the multiplicity) a single read
+            reports them.
         """
-        sess = obs.active()
-        failures: List[Tuple[np.ndarray, np.ndarray]] = []
-        if sess is None:
-            for bank in self.chip.banks:
-                bank.write_all(data_sys)
-                self.stats.rows_written += bank.n_rows
-                failures.append(bank.retention_failures())
-                self.stats.rows_read += bank.n_rows
-            self.stats.retention_waits += 1
-            self.stats.tests += 1
-            return failures
-        tracer = sess.tracer
-        t0 = time.perf_counter()
-        with tracer.span("test", kind=kind,
-                         banks=len(self.chip.banks)):
-            for bank_idx, bank in enumerate(self.chip.banks):
-                with tracer.span("phase.write", bank=bank_idx):
-                    bank.write_all(data_sys)
-                self.stats.rows_written += bank.n_rows
-                with tracer.span("phase.read", bank=bank_idx):
-                    failures.append(bank.retention_failures())
-                self.stats.rows_read += bank.n_rows
-            with tracer.span(
-                    "phase.wait",
-                    retention_ms=self.timing.refresh_interval_ms):
-                self.stats.retention_waits += 1
-        self.stats.tests += 1
-        sess.metrics.observe("io.test_ms",
-                             (time.perf_counter() - t0) * 1e3)
-        return failures
+        data_sys = np.asarray(data_sys, dtype=np.uint8)
+        if data_sys.ndim == 2:
+            data_sys = data_sys[:, None, :]
+        banks = self.chip.banks
+
+        def bank_reseed(b: int) -> Optional[Callable[[int], None]]:
+            if reseed is None:
+                return None
+            return lambda t: reseed(b, t)
+
+        return self._run_test(
+            "pattern" if data_sys.shape[1] == 1 else "pattern_per_row",
+            sum(bank.n_rows for bank in banks),
+            lambda: [bank.write_all(data_sys) for bank in banks],
+            lambda images: [
+                bank.retention_failures(img, bank_reseed(b))
+                for b, (bank, img) in enumerate(zip(banks, images))],
+            tests=len(data_sys), banks=len(banks))
 
     def test_pattern(self, data_sys: np.ndarray
                      ) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -301,9 +312,10 @@ class MemoryController:
         their budgets are directly comparable.
         """
         data_sys = np.asarray(data_sys, dtype=np.uint8)
-        return self._whole_chip_test(data_sys, "pattern")
+        return [(rows, cols) for _t, rows, cols
+                in self.test_patterns(data_sys[None])]
 
     def test_pattern_per_row(self, data_sys_rows: np.ndarray
                              ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """One whole-chip test with per-row patterns (2-D array)."""
-        return self._whole_chip_test(data_sys_rows, "pattern_per_row")
+        return self.test_pattern(data_sys_rows)

@@ -29,17 +29,20 @@ its votes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import compress
+from typing import Sequence, Set, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..core.patterns import inverse, solid
+from ..core.victims import CellKeys, whole_chip_failures
 from ..runtime.seeds import ladder_seed
 from .quarantine import QuarantineSet
-from .verdicts import CellVerdicts, RoundsPolicy, UNSTABLE
+from .verdicts import CellVerdicts, RoundsPolicy
 
-__all__ = ["RobustSweepResult", "robust_sweep", "reseed_banks"]
+__all__ = ["RobustSweepResult", "robust_sweep", "reseed_bank",
+           "reseed_banks"]
 
 Coord = Tuple[int, int, int, int]  # (chip, bank, row, sys_col)
 
@@ -65,61 +68,145 @@ class RobustSweepResult:
     control_rounds: int = 0
 
 
-def reseed_banks(controllers: Sequence, seed: int,
-                 *path, only=None) -> None:
-    """Reseed every bank's randomness from one seed-ladder path.
+def reseed_bank(bank, seed: int, *path) -> None:
+    """Reseed one bank's randomness from one seed-ladder path.
 
     Replaces the bank RNG and the intrinsic fault model's coin stream
     with a single fresh generator (preserving their shared-stream
     structure), reinitialises the fault model's VRT state from that
     stream, and reseeds any injected noise model's coins - making the
-    next retention read a pure function of ``(seed, *path)``.
-
-    Args:
-        controllers: one memory controller per chip.
-        seed: ladder root.
-        *path: ladder path components.
-        only: optional collection of ``(chip_idx, bank_idx)`` pairs to
-            restrict the reseed to.  Each bank's ladder seed depends
-            only on its own coordinates, so reseeding a subset is
-            byte-equivalent for those banks to reseeding them all -
-            use it when a re-run only reads a few banks.
+    bank's next retention read a pure function of ``(seed, *path)``.
+    ``path`` ends with the bank's ``(chip_idx, bank_idx)``, so every
+    bank draws its own stream and reseeding one bank never touches
+    another.
     """
+    g = np.random.default_rng(ladder_seed(seed, *path))
+    bank._rng = g
+    faults = bank.faults
+    faults._rng = g
+    if len(faults.vrt_leaky):
+        faults.vrt_leaky = (g.random(len(faults.vrt_leaky))
+                            < faults.spec.vrt_leaky_start_fraction)
+    if bank.noise is not None:
+        bank.noise.reseed_coins(ladder_seed(seed, "noise", *path))
+
+
+def reseed_banks(controllers: Sequence, seed: int, *path) -> None:
+    """:func:`reseed_bank` every bank of every chip from one path."""
     for chip_idx, ctrl in enumerate(controllers):
         for bank_idx, bank in enumerate(ctrl.chip.banks):
-            if only is not None and (chip_idx, bank_idx) not in only:
-                continue
-            g = np.random.default_rng(
-                ladder_seed(seed, *path, chip_idx, bank_idx))
-            bank._rng = g
-            faults = bank.faults
-            faults._rng = g
-            if len(faults.vrt_leaky):
-                faults.vrt_leaky = (
-                    g.random(len(faults.vrt_leaky))
-                    < faults.spec.vrt_leaky_start_fraction)
-            if bank.noise is not None:
-                bank.noise.reseed_coins(
-                    ladder_seed(seed, "noise", *path, chip_idx,
-                                bank_idx))
+            reseed_bank(bank, seed, *path, chip_idx, bank_idx)
 
 
-def _run_round(controllers: Sequence, polarity: np.ndarray
-               ) -> Set[Coord]:
-    failures: Set[Coord] = set()
-    for chip_idx, ctrl in enumerate(controllers):
-        per_bank = ctrl.test_pattern(polarity)
-        for bank_idx, (rows, cols) in enumerate(per_bank):
-            failures.update(
-                (chip_idx, bank_idx, int(r), int(c))
-                for r, c in zip(rows.tolist(), cols.tolist()))
-    return failures
+class _VoteLedger:
+    """The repeat-and-vote ledger as arrays over sorted cell keys.
+
+    One entry per observed cell (a :class:`~repro.core.victims.CellKeys`
+    key, ascending): ``tracked`` marks cells with sweep votes (the
+    :attr:`CellVerdicts.votes` keys), ``attr`` is the ``(n_cells,
+    n_rounds)`` mask of schedule rounds a cell's votes count on,
+    ``decided`` marks cells whose verdict can no longer change and
+    ``control`` cells that failed a control round.
+    """
+
+    def __init__(self, n_rounds: int) -> None:
+        self.keys = np.empty(0, dtype=np.int64)
+        self.attr = np.zeros((0, n_rounds), dtype=bool)
+        self.votes = np.zeros(0, dtype=np.int64)
+        self.scored = np.zeros(0, dtype=np.int64)
+        self.tracked = np.zeros(0, dtype=bool)
+        self.decided = np.zeros(0, dtype=bool)
+        self.control = np.zeros(0, dtype=bool)
+
+    _ARRAYS = ("attr", "votes", "scored", "tracked", "decided", "control")
+
+    def locate(self, cells: np.ndarray) -> np.ndarray:
+        """Ledger index of every cell, adding the cells not yet seen."""
+        n = len(self.keys)
+        keys, at = np.unique(np.concatenate([self.keys, cells]),
+                             return_inverse=True)
+        if len(keys) != n:
+            for name in self._ARRAYS:
+                old = getattr(self, name)
+                grown = np.zeros((len(keys),) + old.shape[1:],
+                                 dtype=old.dtype)
+                grown[at[:n]] = old
+                setattr(self, name, grown)
+            self.keys = keys
+        return at[n:]
+
+    def score(self, rep: int, failed: np.ndarray, control: np.ndarray,
+              executed: np.ndarray, policy: RoundsPolicy) -> None:
+        """Score one repetition.
+
+        ``failed`` is the ``(n_cells, n_rounds)`` mask of executed
+        rounds each cell failed this repetition and ``control`` the
+        cells that failed one of its control rounds.  A cell votes iff
+        it failed one of its attributed rounds.  Cells first seen this
+        repetition are attributed the rounds they failed in (rep 0) or
+        the first of them (later repetitions; such cells missed rep 0
+        and can never reach a definite verdict).
+        """
+        new = failed.any(axis=1) & ~self.tracked
+        if rep == 0:
+            self.attr[new] = failed[new]
+        else:
+            new_idx = np.flatnonzero(new)
+            self.attr[new_idx, failed[new_idx].argmax(axis=1)] = True
+        self.scored[new] = rep
+        self.tracked |= new
+        voted = (failed & self.attr).any(axis=1)
+        self.control |= control
+        live = self.tracked & ~self.decided
+        self.decided |= live & self.control  # unstable whatever it votes
+        # Scored: live, control-clean, with an attributed round run.
+        live &= ~self.control & self.attr[:, executed].any(axis=1)
+        self.scored[live] += 1
+        self.votes[live & voted] += 1
+        # An undecided cell is scored every remaining repetition, so
+        # (scored + remaining) is its exact final denominator;
+        # threshold monotonicity makes the two bounds sound for every
+        # intermediate stop too.
+        remaining = policy.rounds - 1 - rep
+        need = _required_votes(policy, self.scored + remaining)
+        swept = self.votes == self.scored
+        self.decided |= live & np.where(
+            swept, self.scored >= policy.definite_votes(),
+            (self.votes + remaining < need) | (self.votes >= need))
+
+    def detected(self, policy: RoundsPolicy) -> np.ndarray:
+        """Cells :meth:`CellVerdicts.verdict` calls definite or
+        probabilistic (the ledger is never degraded); the rest of the
+        ledger is unstable."""
+        clean = self.tracked & ~self.control
+        definite = ((self.votes == self.scored)
+                    & (self.scored >= policy.definite_votes()))
+        return clean & (definite | (self.votes >= _required_votes(
+            policy, self.scored)))
+
+    def undecided_rounds(self) -> np.ndarray:
+        """Rounds attributed to a tracked, undecided cell (ascending)."""
+        return np.flatnonzero(
+            self.attr[self.tracked & ~self.decided].any(axis=0))
+
+
+def _required_votes(policy: RoundsPolicy, scored: np.ndarray) -> np.ndarray:
+    """:meth:`RoundsPolicy.required_votes` over an array."""
+    return np.maximum(1, np.ceil(policy.probabilistic_threshold * scored)
+                      ).astype(np.int64)
 
 
 def robust_sweep(controllers: Sequence, schedule,
                  policy: RoundsPolicy, seed: int = 0
                  ) -> RobustSweepResult:
     """Run the neighbour-aware sweep with repeat-and-vote verdicts.
+
+    Each repetition runs its executed rounds and its control rounds
+    as one batch of whole-chip tests
+    (:func:`~repro.core.victims.whole_chip_failures`), every test
+    reseeding its bank from the ladder just before it draws, and is
+    scored on the array ledger; the public :class:`CellVerdicts` and
+    quarantine are built once at the end.
 
     Args:
         controllers: one memory controller per chip.
@@ -130,99 +217,64 @@ def robust_sweep(controllers: Sequence, schedule,
     Returns:
         A :class:`RobustSweepResult`.
     """
-    rounds: List[Tuple[int, int]] = [
-        (pi, vi) for pi in range(len(schedule.patterns))
-        for vi in range(2)]
     row_bits = controllers[0].row_bits
+    # Round r = 2 * pattern + polarity: the pattern, then its inverse.
+    polarities = np.array([polarity for pattern in schedule.patterns
+                           for polarity in (pattern, inverse(pattern))],
+                          dtype=np.uint8).reshape(-1, row_bits)
+    controls = np.stack([solid(row_bits, 0), solid(row_bits, 1)])
+    keys = CellKeys(controllers)
+    ledger = _VoteLedger(len(polarities))
+    result = RobustSweepResult()
 
-    verdicts = CellVerdicts(rounds=policy.rounds, policy=policy)
-    result = RobustSweepResult(verdicts=verdicts)
-
-    # attribution: cell -> the schedule rounds its votes count on.
-    attribution: Dict[Coord, Set[int]] = {}
-    # Cells whose final verdict can no longer change (the sequential
-    # early-exit): definite after ``early_definite`` clean sweeps,
-    # unstable on any control failure, or vote-bounded - the
-    # probabilistic threshold is unreachable even winning every
-    # remaining repetition, or already met even losing them all.
-    decided: Set[Coord] = set()
-
+    executed = np.arange(len(polarities))
     for rep in range(policy.rounds):
-        if rep == 0:
-            executed = list(range(len(rounds)))
-        else:
-            undecided = [c for c in verdicts.votes if c not in decided]
-            executed = sorted({r for c in undecided
-                               for r in attribution.get(c, ())})
-            if not executed:
+        if rep:
+            executed = ledger.undecided_rounds()
+            if not len(executed):
                 break  # every observed cell is decided
-        fail_sets: Dict[int, Set[Coord]] = {}
-        for r in executed:
-            pi, vi = rounds[r]
-            pattern = schedule.patterns[pi]
-            polarity = pattern if vi == 0 else inverse(pattern)
-            reseed_banks(controllers, seed, "robust.sweep", rep, r)
-            fail_sets[r] = _run_round(controllers, polarity)
-            result.rounds_executed += 1
-
+        paths = [("robust.sweep", rep, int(r)) for r in executed]
+        patterns = [polarities[executed]]
         if policy.run_controls:
-            for value in (0, 1):
-                reseed_banks(controllers, seed, "robust.control",
-                             rep, value)
-                verdicts.control_failures |= _run_round(
-                    controllers, solid(row_bits, value))
-                result.control_rounds += 1
+            paths += [("robust.control", rep, value) for value in (0, 1)]
+            patterns.append(controls)
+        patterns = np.concatenate(patterns)
+        result.rounds_executed += len(executed)
+        result.control_rounds += len(patterns) - len(executed)
+        if not len(patterns):
+            continue
 
-        # Score this repetition: a cell votes iff it failed in at
-        # least one of its attributed rounds.  Cells first seen this
-        # repetition get attributed to the rounds they failed in; they
-        # can never reach a definite verdict (they missed rep 0).
-        voted: Set[Coord] = set()
-        for r, failures in fail_sets.items():
-            for coord in failures:
-                if coord not in attribution:
-                    attribution[coord] = {r}
-                    verdicts.votes[coord] = 0
-                    verdicts.scored[coord] = rep
-                if r in attribution[coord]:
-                    voted.add(coord)
-                elif rep == 0:
-                    attribution[coord].add(r)
-                    voted.add(coord)
-        remaining = policy.rounds - 1 - rep
-        for coord in list(verdicts.votes):
-            if coord in decided:
-                continue
-            if coord in verdicts.control_failures:
-                decided.add(coord)  # unstable whatever it votes
-                continue
-            if not attribution.get(coord) & set(fail_sets):
-                continue  # none of its rounds ran this repetition
-            verdicts.scored[coord] += 1
-            if coord in voted:
-                verdicts.votes[coord] += 1
-            votes = verdicts.votes[coord]
-            scored = verdicts.scored[coord]
-            if votes == scored:
-                if scored >= policy.definite_votes():
-                    decided.add(coord)
-            elif (votes + remaining
-                    < policy.required_votes(scored + remaining)
-                    or votes
-                    >= policy.required_votes(scored + remaining)):
-                # An undecided cell is scored every remaining
-                # repetition, so (scored + remaining) is its exact
-                # final denominator; threshold monotonicity makes the
-                # two bounds sound for every intermediate stop too.
-                decided.add(coord)
+        def reseed(chip_idx: int, bank_idx: int, t: int) -> None:
+            reseed_bank(controllers[chip_idx].chip.banks[bank_idx], seed,
+                        *paths[t], chip_idx, bank_idx)
 
-    # Final classification: control failures override everything.
-    result.detected = verdicts.detected()
-    for coord in verdicts.unstable():
-        reason = ("control-failure"
-                  if coord in verdicts.control_failures
-                  else "inconsistent-votes")
-        result.quarantine.add(coord, reason)
+        tests, cells = whole_chip_failures(controllers, patterns, keys,
+                                           reseed)
+        at = ledger.locate(cells)
+        swept = tests < len(executed)
+        failed = np.zeros(ledger.attr.shape, dtype=bool)
+        failed[at[swept], executed[tests[swept]]] = True
+        control = np.zeros(len(ledger.keys), dtype=bool)
+        control[at[~swept]] = True
+        ledger.score(rep, failed, control, executed, policy)
+
+    # Final classification, in one pass: control failures override
+    # everything.  Every ledger cell was observed (tracked or control).
+    coords = keys.decode(ledger.keys)
+    detected = ledger.detected(policy)
+    tracked = ledger.tracked.tolist()
+    result.verdicts = CellVerdicts(
+        rounds=policy.rounds, policy=policy,
+        votes=dict(zip(compress(coords, tracked),
+                       ledger.votes[ledger.tracked].tolist())),
+        scored=dict(zip(compress(coords, tracked),
+                        ledger.scored[ledger.tracked].tolist())),
+        control_failures=set(compress(coords, ledger.control.tolist())))
+    result.detected = set(compress(coords, detected.tolist()))
+    for coord, control in zip(compress(coords, (~detected).tolist()),
+                              ledger.control[~detected].tolist()):
+        result.quarantine.add(coord, "control-failure" if control
+                              else "inconsistent-votes")
     if obs.enabled():
         obs.inc("profile.rounds", result.rounds_executed)
         obs.inc("profile.control_rounds", result.control_rounds)

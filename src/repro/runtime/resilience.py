@@ -213,13 +213,16 @@ class CheckpointJournal:
                     self._entries[record["key"]] = record
 
     def _append(self, record: Dict[str, Any]) -> None:
-        if self._fh is None:
+        # One local handle: a signal handler's close() detaches
+        # ``self._fh`` mid-append, and the append must then fail on
+        # the closed file (ValueError), not on a None attribute.
+        fh = self._fh
+        if fh is None:
             raise ValueError("checkpoint journal is closed")
-        self._fh.write(json.dumps(record, sort_keys=True))
-        self._fh.write("\n")
-        self._fh.flush()
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.flush()
         if self.fsync:
-            os.fsync(self._fh.fileno())
+            os.fsync(fh.fileno())
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -307,7 +310,10 @@ class CheckpointJournal:
         swallowed: close() runs on every exit path of ``run_fleet``
         (interrupts included) and must never mask the original
         exception; every record was already flushed when it was
-        appended.
+        appended.  That includes the ``RuntimeError`` a buffered file
+        raises when a signal handler's close interrupts :meth:`record`
+        inside its write ("reentrant call"): the interrupted write
+        then finishes on the detached handle.
         """
         fh, self._fh = self._fh, None
         if fh is None or fh.closed:
@@ -317,7 +323,7 @@ class CheckpointJournal:
             if self.fsync:
                 os.fsync(fh.fileno())
             fh.close()
-        except (OSError, ValueError):  # pragma: no cover - best effort
+        except (OSError, ValueError, RuntimeError):  # best effort
             pass
 
     def __enter__(self) -> "CheckpointJournal":

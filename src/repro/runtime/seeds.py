@@ -23,6 +23,7 @@ SHA-256 over a length-prefixed canonical encoding, giving:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import List, Union
 
@@ -31,7 +32,11 @@ __all__ = ["ladder_seed", "chip_seed", "module_seed", "seed_ladder"]
 PathPart = Union[int, str]
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def _encode(part: PathPart) -> bytes:
+    # Memoized: a campaign's reseeds repeat the same few path parts
+    # (purpose strings, repetition / round / chip / bank indices).
+    # ``typed`` keeps ``True`` from hitting the entry of ``1``.
     if isinstance(part, bool) or not isinstance(part, (int, str)):
         raise TypeError(f"seed path parts must be int or str, got "
                         f"{type(part).__name__}")

@@ -155,6 +155,28 @@ class TestAddressMapping:
         assert np.array_equal(mapping.descramble(mapping.scramble(row)),
                               row)
 
+    @pytest.mark.parametrize("name", ["A", "B", "C"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_distance_set_matches_per_tile_loop(self, name, order):
+        """The vectorised distance set equals the per-tile loop it
+        replaced, element for element and in the same order."""
+        for width in (8192, 2048):
+            mapping = vendor(name).mapping(width)
+            sys = mapping.phys_to_sys()
+            dists = set()
+            for t in range(mapping.n_tiles):
+                tile = sys[t * mapping.tile_bits:
+                           (t + 1) * mapping.tile_bits]
+                if len(tile) <= order:
+                    continue
+                diffs = tile[order:] - tile[:-order]
+                dists.update(int(d) for d in diffs)
+                dists.update(int(-d) for d in diffs)
+            want = sorted(dists, key=lambda d: (abs(d), d))
+            got = mapping.neighbour_distance_set(order)
+            assert got == want
+            assert all(type(d) is int for d in got)
+
     def test_identity_mapping_is_linear(self):
         mapping = identity_mapping(64)
         assert mapping.neighbour_distance_set() == [-1, 1]

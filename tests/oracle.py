@@ -23,11 +23,20 @@ from.  It is a test fake, never a production option:
   batched :meth:`MemoryController.test_regions` replaced: every region
   test is two single tests (:func:`test_rows_patched`, pattern then
   inverse), each a dense write and a full read-back.
+* **sweep kernel** - :func:`test_patterns` is the per-test loop the
+  batched :meth:`MemoryController.test_patterns` replaced: test after
+  test, every bank written in full and read back
+  (:func:`_whole_chip_test`, :func:`retention_failures`).
+* **vote ledger** - :func:`robust_sweep` is the set-based
+  repeat-and-vote sweep the array ledger of
+  :func:`repro.robust.vote.robust_sweep` replaced: one whole-chip test
+  per round, cells as coordinate tuples in sets and dicts.
 
 :func:`oracle_substrate` patches these onto :class:`~repro.dram.Bank`,
-:class:`~repro.dram.CoupledCellPopulation` and
-:class:`~repro.dram.controller.MemoryController`, so a whole campaign
-can run on the oracle::
+:class:`~repro.dram.CoupledCellPopulation`,
+:class:`~repro.dram.controller.MemoryController` and
+:mod:`repro.robust.vote`, so a whole campaign can run on the
+oracle::
 
     with oracle_substrate():
         expected = run_parbor(chip, cfg, seed=7)
@@ -50,13 +59,17 @@ a time, and :func:`encode_ref` / :func:`decode_ref` XOR ``H`` columns
 bit by bit.
 """
 
+import time
 from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
+import repro.robust.vote
 from repro import obs
 from repro._kernels import WORD_BITS, pack_rows, unpack_rows
+from repro.core.patterns import inverse, solid
 from repro.dram.bank import Bank
 from repro.dram.cells import NO_NEIGHBOUR, CoupledCellPopulation
 from repro.dram.controller import MemoryController
@@ -68,11 +81,17 @@ from repro.ecc.secded import (CHECK_BITS, CHECK_COLUMN, CLEAN, CORRECTED,
                               CORRECTED_CHECK, DETECTED, MISCORRECTED,
                               UNDETECTED, HammingSecDed,
                               decode_with_tables)
+from repro.robust.verdicts import CellVerdicts, RoundsPolicy
+from repro.robust.vote import RobustSweepResult
 from repro.runtime.seeds import ladder_seed
+
+Coord = Tuple[int, int, int, int]  # (chip, bank, row, sys_col)
 
 __all__ = ["write_rows", "write_rows_patched", "evaluate_failures",
            "retention_read_rows", "retention_check_cells",
-           "test_rows_patched", "test_regions", "oracle_substrate", "injected_cells", "lens_transform_read",
+           "test_rows_patched", "test_regions", "retention_failures",
+           "test_patterns", "robust_sweep", "oracle_substrate",
+           "injected_cells", "lens_transform_read",
            "beer_probe_round", "beer_classify", "beer_paired_outcomes",
            "validate_inference", "encode_ref",
            "decode_ref"]
@@ -255,12 +274,12 @@ def test_rows_patched(ctrl: MemoryController, bank: int, rows: np.ndarray,
     rows = np.asarray(rows)
     b = ctrl.chip.bank(bank)
     return ctrl._run_test(
-        "patched", bank, len(rows),
+        "patched", len(rows),
         lambda: write_rows_patched(b, rows, base, spans=spans,
                                    points=points),
         lambda _: retention_check_cells(
             b, rows, check_row_idx, check_cols,
-            coupled_rows_only=coupled_rows_only))
+            coupled_rows_only=coupled_rows_only), bank=bank)
 
 
 def test_regions(ctrl: MemoryController, bank: int, rows: np.ndarray,
@@ -295,16 +314,253 @@ def test_regions(ctrl: MemoryController, bank: int, rows: np.ndarray,
     return failed
 
 
+# -- whole-chip tests -------------------------------------------------------
+
+
+def retention_failures(bank: Bank) -> Tuple[np.ndarray, np.ndarray]:
+    """One retention wait of the whole bank, as single reads made it.
+
+    The flip events of :meth:`Bank._observed_errors` (after the ECC
+    stage, if any) followed by the injected-noise cells, duplicates
+    kept - the composition the batched
+    :meth:`Bank.retention_failures` replaced.
+    """
+    rows, sys_cols, n_rows, n_sys = bank._observed_errors()
+    if len(n_rows):
+        rows = np.concatenate([rows, n_rows])
+        sys_cols = np.concatenate([sys_cols, n_sys])
+    return rows, sys_cols
+
+
+def _whole_chip_test(self: MemoryController, data_sys: np.ndarray,
+                     kind: str) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Shared write-all / read-back loop of the whole-chip tests.
+
+    Per-bank write/read interleaving (and therefore the RNG draw
+    order of ``retention_failures``) is identical whether or not
+    tracing is active; the traced branch only wraps the same calls
+    in spans.
+    """
+    sess = obs.active()
+    failures: List[Tuple[np.ndarray, np.ndarray]] = []
+    if sess is None:
+        for bank in self.chip.banks:
+            write_rows(bank, np.arange(bank.n_rows), data_sys)
+            self.stats.rows_written += bank.n_rows
+            failures.append(retention_failures(bank))
+            self.stats.rows_read += bank.n_rows
+        self.stats.retention_waits += 1
+        self.stats.tests += 1
+        return failures
+    tracer = sess.tracer
+    t0 = time.perf_counter()
+    with tracer.span("test", kind=kind,
+                     banks=len(self.chip.banks)):
+        for bank_idx, bank in enumerate(self.chip.banks):
+            with tracer.span("phase.write", bank=bank_idx):
+                write_rows(bank, np.arange(bank.n_rows), data_sys)
+            self.stats.rows_written += bank.n_rows
+            with tracer.span("phase.read", bank=bank_idx):
+                failures.append(retention_failures(bank))
+            self.stats.rows_read += bank.n_rows
+        with tracer.span(
+                "phase.wait",
+                retention_ms=self.timing.refresh_interval_ms):
+            self.stats.retention_waits += 1
+    self.stats.tests += 1
+    sess.metrics.observe("io.test_ms",
+                         (time.perf_counter() - t0) * 1e3)
+    return failures
+
+
+def test_patterns(ctrl: MemoryController, data_sys: np.ndarray,
+                  reseed=None
+                  ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per-test image of :meth:`MemoryController.test_patterns`.
+
+    The loop the batched kernel replaced: test after test, every bank
+    is written in full and read back (:func:`_whole_chip_test`), with
+    ``reseed(bank_idx, t)`` applied to every bank before test ``t``.
+    """
+    data_sys = np.asarray(data_sys, dtype=np.uint8)
+    if data_sys.ndim == 2:
+        data_sys = data_sys[:, None, :]
+    per_row = data_sys.shape[1] != 1
+    out = [([], [], []) for _ in ctrl.chip.banks]
+    for t, data in enumerate(data_sys):
+        if reseed is not None:
+            for b in range(len(ctrl.chip.banks)):
+                reseed(b, t)
+        per_bank = _whole_chip_test(
+            ctrl, data if per_row else data[0],
+            "pattern_per_row" if per_row else "pattern")
+        for (tests, rows, cols), (r, c) in zip(out, per_bank):
+            tests.append(np.full(len(r), t, dtype=np.int64))
+            rows.append(r)
+            cols.append(c)
+    return [tuple(np.concatenate(part) for part in bank_out)
+            for bank_out in out]
+
+
+# -- robust sweep -----------------------------------------------------------
+
+
+def reseed_banks(controllers, seed: int, *path) -> None:
+    """Reseed every bank's randomness from one seed-ladder path."""
+    for chip_idx, ctrl in enumerate(controllers):
+        for bank_idx, bank in enumerate(ctrl.chip.banks):
+            g = np.random.default_rng(
+                ladder_seed(seed, *path, chip_idx, bank_idx))
+            bank._rng = g
+            faults = bank.faults
+            faults._rng = g
+            if len(faults.vrt_leaky):
+                faults.vrt_leaky = (
+                    g.random(len(faults.vrt_leaky))
+                    < faults.spec.vrt_leaky_start_fraction)
+            if bank.noise is not None:
+                bank.noise.reseed_coins(
+                    ladder_seed(seed, "noise", *path, chip_idx,
+                                bank_idx))
+
+
+def _run_round(controllers, polarity: np.ndarray) -> Set[Coord]:
+    failures: Set[Coord] = set()
+    for chip_idx, ctrl in enumerate(controllers):
+        per_bank = ctrl.test_pattern(polarity)
+        for bank_idx, (rows, cols) in enumerate(per_bank):
+            failures.update(
+                (chip_idx, bank_idx, int(r), int(c))
+                for r, c in zip(rows.tolist(), cols.tolist()))
+    return failures
+
+
+def robust_sweep(controllers: Sequence, schedule,
+                 policy: RoundsPolicy, seed: int = 0
+                 ) -> RobustSweepResult:
+    """Run the neighbour-aware sweep with repeat-and-vote verdicts.
+
+    Args:
+        controllers: one memory controller per chip.
+        schedule: the :class:`~repro.core.scheduler.TestSchedule`.
+        policy: repetition/vote policy (``rounds >= 1``).
+        seed: the campaign's run seed (root of the reseeding ladder).
+
+    Returns:
+        A :class:`RobustSweepResult`.
+    """
+    rounds: List[Tuple[int, int]] = [
+        (pi, vi) for pi in range(len(schedule.patterns))
+        for vi in range(2)]
+    row_bits = controllers[0].row_bits
+
+    verdicts = CellVerdicts(rounds=policy.rounds, policy=policy)
+    result = RobustSweepResult(verdicts=verdicts)
+
+    # attribution: cell -> the schedule rounds its votes count on.
+    attribution: Dict[Coord, Set[int]] = {}
+    # Cells whose final verdict can no longer change (the sequential
+    # early-exit): definite after ``early_definite`` clean sweeps,
+    # unstable on any control failure, or vote-bounded - the
+    # probabilistic threshold is unreachable even winning every
+    # remaining repetition, or already met even losing them all.
+    decided: Set[Coord] = set()
+
+    for rep in range(policy.rounds):
+        if rep == 0:
+            executed = list(range(len(rounds)))
+        else:
+            undecided = [c for c in verdicts.votes if c not in decided]
+            executed = sorted({r for c in undecided
+                               for r in attribution.get(c, ())})
+            if not executed:
+                break  # every observed cell is decided
+        fail_sets: Dict[int, Set[Coord]] = {}
+        for r in executed:
+            pi, vi = rounds[r]
+            pattern = schedule.patterns[pi]
+            polarity = pattern if vi == 0 else inverse(pattern)
+            reseed_banks(controllers, seed, "robust.sweep", rep, r)
+            fail_sets[r] = _run_round(controllers, polarity)
+            result.rounds_executed += 1
+
+        if policy.run_controls:
+            for value in (0, 1):
+                reseed_banks(controllers, seed, "robust.control",
+                             rep, value)
+                verdicts.control_failures |= _run_round(
+                    controllers, solid(row_bits, value))
+                result.control_rounds += 1
+
+        # Score this repetition: a cell votes iff it failed in at
+        # least one of its attributed rounds.  Cells first seen this
+        # repetition get attributed to the rounds they failed in; they
+        # can never reach a definite verdict (they missed rep 0).
+        voted: Set[Coord] = set()
+        for r, failures in fail_sets.items():
+            for coord in failures:
+                if coord not in attribution:
+                    attribution[coord] = {r}
+                    verdicts.votes[coord] = 0
+                    verdicts.scored[coord] = rep
+                if r in attribution[coord]:
+                    voted.add(coord)
+                elif rep == 0:
+                    attribution[coord].add(r)
+                    voted.add(coord)
+        remaining = policy.rounds - 1 - rep
+        for coord in list(verdicts.votes):
+            if coord in decided:
+                continue
+            if coord in verdicts.control_failures:
+                decided.add(coord)  # unstable whatever it votes
+                continue
+            if not attribution.get(coord) & set(fail_sets):
+                continue  # none of its rounds ran this repetition
+            verdicts.scored[coord] += 1
+            if coord in voted:
+                verdicts.votes[coord] += 1
+            votes = verdicts.votes[coord]
+            scored = verdicts.scored[coord]
+            if votes == scored:
+                if scored >= policy.definite_votes():
+                    decided.add(coord)
+            elif (votes + remaining
+                    < policy.required_votes(scored + remaining)
+                    or votes
+                    >= policy.required_votes(scored + remaining)):
+                # An undecided cell is scored every remaining
+                # repetition, so (scored + remaining) is its exact
+                # final denominator; threshold monotonicity makes the
+                # two bounds sound for every intermediate stop too.
+                decided.add(coord)
+
+    # Final classification: control failures override everything.
+    result.detected = verdicts.detected()
+    for coord in verdicts.unstable():
+        reason = ("control-failure"
+                  if coord in verdicts.control_failures
+                  else "inconsistent-votes")
+        result.quarantine.add(coord, reason)
+    if obs.enabled():
+        obs.inc("profile.rounds", result.rounds_executed)
+        obs.inc("profile.control_rounds", result.control_rounds)
+    return result
+
+
 # -- campaign-level switch -----------------------------------------------
 
 
 _PATCHES = (
     (Bank, "write_rows", write_rows),
     (Bank, "write_rows_patched", write_rows_patched),
+    (Bank, "retention_failures", retention_failures),
     (Bank, "retention_read_rows", retention_read_rows),
     (Bank, "retention_check_cells", retention_check_cells),
     (CoupledCellPopulation, "evaluate_failures", _evaluate_packed_state),
     (MemoryController, "test_regions", test_regions),
+    (MemoryController, "test_patterns", test_patterns),
+    (repro.robust.vote, "robust_sweep", robust_sweep),
 )
 
 
@@ -313,9 +569,10 @@ def oracle_substrate() -> Iterator[None]:
     """Run the substrate on the oracle for the duration of the block.
 
     Every bank write, coupled-cell decay and retention read - including
-    the ones :meth:`Bank.write_all`, :meth:`Bank.retention_failures`
-    and :meth:`Bank.retention_read_all` make - goes through the dense
-    formulations above.  In-process only: worker processes started
+    the ones :meth:`Bank.write_all` and :meth:`Bank.retention_read_all`
+    make - goes through the dense formulations above, whole-chip and
+    region tests run test by test, and the robust sweep keeps its
+    set-based vote ledger.  In-process only: worker processes started
     inside the block do not inherit the patch on spawn-start
     platforms.
     """

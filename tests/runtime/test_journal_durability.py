@@ -89,6 +89,33 @@ class TestClose:
         with pytest.raises(ValueError, match="closed"):
             journal.record(spec, spec.run())
 
+    def test_close_swallows_reentrant_flush(self, tmp_path):
+        """A close that interrupts ``record``'s buffered write gets the
+        writer's reentrancy ``RuntimeError`` from ``flush()``; close is
+        best effort, so it must not escape.  Deterministic stand-in for
+        the signal race below: the file object raises on its own."""
+        journal = CheckpointJournal(str(tmp_path / "j.ckpt"))
+        real = journal._fh
+
+        class Reentrant:
+            closed = False
+
+            def flush(self):
+                raise RuntimeError(
+                    "reentrant call inside <_io.BufferedWriter>")
+
+            def fileno(self):
+                return real.fileno()
+
+            def close(self):
+                raise AssertionError("close after a failed flush")
+
+        journal._fh = Reentrant()
+        journal.close()
+        assert journal._fh is None
+        journal.close()  # still idempotent
+        real.close()
+
     def test_close_from_signal_handler_midstream(self, tmp_path):
         """A close racing in from a signal handler leaves a valid
         journal and the writer failing loudly, not corrupting.
