@@ -23,7 +23,7 @@ the neighbours of every cell in the chip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -117,9 +117,8 @@ def _group_victims(sample: VictimSample, active: np.ndarray
 
 def _run_region_tests(controllers: Sequence[MemoryController],
                       groups: Dict[Tuple[int, int], _RowGroup],
-                      tests: Sequence[Tuple[np.ndarray, np.ndarray]],
-                      region_size: int, revote: bool = False
-                      ) -> np.ndarray:
+                      sub_abs: np.ndarray, covered: np.ndarray,
+                      region_size: int) -> np.ndarray:
     """Execute logical tests; return per-test, per-victim failure masks.
 
     One :meth:`MemoryController.test_regions` kernel per (chip, bank)
@@ -132,19 +131,12 @@ def _run_region_tests(controllers: Sequence[MemoryController],
     Args:
         controllers: one per chip.
         groups: victims grouped by (chip, bank).
-        tests: ``(sub_abs, covered)`` per logical test - the
-            per-victim absolute subregion index (global sample
-            indexing; only entries where ``covered`` is True matter)
-            and the mask of victims whose candidate region falls
-            inside the row.
+        sub_abs: ``(T, n_sample)`` absolute subregion index per test
+            and victim (only entries where ``covered`` is True matter).
+        covered: ``(T, n_sample)`` mask of victims whose candidate
+            region falls inside the row.
         region_size: bits per subregion at this level.
-        revote: the tests run on a fresh reseeded re-vote stream, so
-            the coupled-cell evaluation may be restricted to the
-            tested rows (a large saving when re-voting a handful of
-            victims).
     """
-    sub_abs = np.stack([t[0] for t in tests])
-    covered = np.stack([t[1] for t in tests])
     failed = np.zeros(covered.shape, dtype=bool)
     for (chip_idx, bank_idx), group in groups.items():
         vi = group.victim_idx
@@ -155,102 +147,41 @@ def _run_region_tests(controllers: Sequence[MemoryController],
         # Every covered victim's subregion is flipped in its own row,
         # victim bits held at the opposite value; only the victim
         # cells are verified.
-        starts = np.where(use[run], sub_abs[run][:, vi] * region_size, -1)
+        starts = np.where(use[run], sub_abs[run[:, None], vi] * region_size,
+                          -1)
         failed[run[:, None], vi] = controllers[chip_idx].test_regions(
             bank_idx, group.unique_rows, (group.row_pos, group.cols),
-            starts, region_size, coupled_rows_only=revote)
+            starts, region_size)
     return failed
 
 
-def _filter_groups(groups: Dict[Tuple[int, int], _RowGroup],
-                   keep: np.ndarray
-                   ) -> Dict[Tuple[int, int], _RowGroup]:
-    """Restrict row groups to the victims selected by ``keep``.
+def _revote_batches(bank, n_tests: int, reps: int) -> List[slice]:
+    """Split one bank's re-voted region tests into kernel batches.
 
-    Row retention tests are independent and the coupling mechanism is
-    intra-row, so re-testing only the kept victims' rows reproduces
-    their test conditions exactly.
+    Each re-vote test restarts the bank's streams from its own ladder
+    path, so one kernel call per repetition over all of a level's
+    tests draws what a test-by-test loop draws - except where the
+    order of a bank's waits is observable:
+
+    * with a real ECC code every read decodes the whole bank, and rows
+      a test does not write show the images earlier re-votes left;
+    * the device-noise read clock (``reads``, which gates
+      ``active_after``) is not restored after a re-vote, so noise that
+      could switch on inside the block's at most ``2 * n_tests * (reps
+      - 1)`` waits would switch on at a different test.
+
+    Then every test is its own batch, which keeps the test-by-test
+    order (all of a test's repetitions before the next test);
+    otherwise the level is one batch.
     """
-    out: Dict[Tuple[int, int], _RowGroup] = {}
-    for key, group in groups.items():
-        sel = keep[group.victim_idx]
-        if not sel.any():
-            continue
-        out[key] = _RowGroup(
-            victim_idx=group.victim_idx[sel],
-            rows=group.unique_rows[group.row_pos[sel]],
-            cols=group.cols[sel])
-    return out
-
-
-def _revote_region(controllers: Sequence[MemoryController],
-                   groups: Dict[Tuple[int, int], _RowGroup],
-                   sub_abs: np.ndarray, covered: np.ndarray,
-                   region_size: int, candidates: np.ndarray, policy,
-                   seed: int,
-                   path: Tuple[int, ...]) -> np.ndarray:
-    """Re-vote selected failure observations of one region test.
-
-    The initial pass consumed the bank's sequential RNG stream exactly
-    as the single-pass recursion would; the re-votes run on fresh
-    seed-ladder streams and the sequential stream (plus the fault
-    model's VRT state and any injected-noise coins) is restored
-    afterwards, so the surrounding recursion is byte-identical to a
-    ``rounds=1`` run except where the vote changes a verdict.
-
-    The vote is a *sequential* best-of-three majority, capped at three
-    executions regardless of ``policy.rounds``: the recursion only
-    needs soft-error rejection (a one-off flip will not repeat on a
-    fresh seeded stream), so a failure is kept once it is observed
-    twice, dropped once two fresh runs miss it, and the loop stops as
-    soon as every candidate is decided.  Only victims that failed the
-    initial pass can be candidates - exactly the sweep's
-    vote-attribution rule, so injected noise in a re-vote can never
-    forge a reporter that the initial pass did not see.  Each re-vote
-    re-tests only the undecided candidates' rows
-    (:func:`_filter_groups`) and evaluates only those rows' coupled
-    cells, so its cost scales with the observations under vote, not
-    the sample size.  Deeper ``rounds`` policies buy statistical depth
-    in the sweep, where per-cell verdicts live, not here.
-
-    Returns the per-victim mask of candidates whose failure was
-    *upheld* by the vote.
-    """
-    from ..robust.vote import reseed_bank
-
-    touched = {key for key, group in groups.items()
-               if candidates[group.victim_idx].any()}
-    saved = []
-    for chip_idx, bank_idx in touched:
-        bank = controllers[chip_idx].chip.banks[bank_idx]
-        noise_rng = (bank.noise._coin_rng
-                     if bank.noise is not None else None)
-        saved.append((bank, bank._rng, bank.faults.vrt_leaky.copy(),
-                      noise_rng))
-    counts = candidates.astype(np.int64)
-    reps = min(policy.rounds, 3)
-    need = reps // 2 + 1
-    for rep in range(1, reps):
-        remaining = reps - rep
-        undecided = (candidates & (counts < need)
-                     & (counts + remaining >= need))
-        if not undecided.any():
-            break
-        sub_groups = _filter_groups(groups, undecided)
-        for chip_idx, bank_idx in sub_groups:
-            reseed_bank(controllers[chip_idx].chip.banks[bank_idx], seed,
-                        "robust.recursion", *path, rep, chip_idx, bank_idx)
-        again = _run_region_tests(controllers, sub_groups,
-                                  [(sub_abs, covered)], region_size,
-                                  revote=True)[0]
-        counts += (again & undecided)
-    for bank, rng, leaky, noise_rng in saved:
-        bank._rng = rng
-        bank.faults._rng = rng
-        bank.faults.vrt_leaky = leaky
-        if noise_rng is not None:
-            bank.noise._coin_rng = noise_rng
-    return counts >= need
+    lens = bank.ecc is not None and bank.ecc.code is not None
+    reads = getattr(bank.noise, "reads", None)
+    arming = reads is not None and (
+        reads < bank.noise.spec.active_after
+        < reads + 2 * n_tests * (reps - 1))
+    if lens or arming:
+        return [slice(t, t + 1) for t in range(n_tests)]
+    return [slice(0, n_tests)]
 
 
 #: Reporters a child distance needs within a level before its
@@ -264,42 +195,140 @@ CORROBORATION_FLOOR = 3
 
 def _revote_uncorroborated(controllers: Sequence[MemoryController],
                            groups: Dict[Tuple[int, int], _RowGroup],
-                           region_size: int, pending,
+                           region_size: int, sub_abs: np.ndarray,
+                           covered: np.ndarray, failed: np.ndarray,
+                           paths: Sequence[Tuple[int, ...]],
                            v_region: np.ndarray, policy, seed: int
-                           ) -> None:
+                           ) -> np.ndarray:
     """Re-vote the uncorroborated failures of one recursion level.
 
-    ``pending`` holds every executed region test of the level as
-    ``(sub_abs, covered, failed, path)``; the ``failed`` masks are
-    updated in place.  A failure observation is *suspicious* - and
-    gets the :func:`_revote_region` treatment - only when the child
-    distance it reports has fewer than :data:`CORROBORATION_FLOOR`
-    reporters across the level.  Crowd-corroborated observations are
-    accepted as-is, which is what keeps the repeat-and-vote recursion
-    within a constant factor of the single-pass one: the overwhelming
-    majority of failures report the true distances, and those have
-    hundreds of reporters.
+    ``sub_abs``, ``covered`` and ``failed`` are the level's executed
+    region tests (``(T, n_sample)`` each, ``paths[t]`` test ``t``'s
+    ``(level, distance, subregion)``); ``failed`` is updated in place.
+    A failure observation is *suspicious* only when the child distance
+    it reports has fewer than :data:`CORROBORATION_FLOOR` reporters
+    across the level.  Crowd-corroborated observations are accepted
+    as-is, which is what keeps the repeat-and-vote recursion within a
+    constant factor of the single-pass one: the overwhelming majority
+    of failures report the true distances, and those have hundreds of
+    reporters.
+
+    The vote is a *sequential* best-of-three majority, capped at three
+    executions regardless of ``policy.rounds``: the recursion only
+    needs soft-error rejection (a one-off flip will not repeat on a
+    fresh seeded stream), so a failure is kept once it is observed
+    twice, dropped once two fresh runs miss it, and a repetition
+    re-tests only the still undecided observations.  Only victims
+    that failed the initial pass can be candidates - exactly the
+    sweep's vote-attribution rule, so injected noise in a re-vote can
+    never forge a reporter that the initial pass did not see.  Deeper
+    ``rounds`` policies buy statistical depth in the sweep, where
+    per-cell verdicts live, not here.
+
+    Each repetition of a bank's tests is one re-vote kernel call
+    (:meth:`MemoryController.test_regions` with ``coupled_rows_only``,
+    split by :func:`_revote_batches`): every test writes and evaluates
+    only its undecided victims' rows, on the fresh stream of its ladder
+    path ``("robust.recursion", *paths[t], rep, chip, bank)``.  The
+    initial pass consumed the bank's sequential stream exactly as the
+    single-pass recursion would; the stream, the fault model's VRT
+    state and any injected-noise coins are saved before a bank's
+    re-votes and restored after them, so the surrounding recursion is
+    byte-identical to a ``rounds=1`` run except where the vote changes
+    a verdict.  Returns the ``(T, n_sample)`` vote counts (the initial
+    pass included) of the suspicious observations.
     """
-    if not pending:
-        return
+    from ..robust.vote import reseed_bank
+
     # Per test and victim: the child distance a failure reports, and
     # whether fewer than CORROBORATION_FLOOR failures level-wide
     # report it.
-    dist = np.stack([sub_abs for sub_abs, *_ in pending]) - v_region
-    observed = np.stack([failed & covered
-                         for _s, covered, failed, _p in pending])
-    reported, reporters = np.unique(dist[observed], return_counts=True)
-    crowd = reported[reporters >= CORROBORATION_FLOOR]
-    suspicious_tests = observed & ~np.isin(dist, crowd)
-    for (sub_abs, covered, failed, path), suspicious in zip(
-            pending, suspicious_tests):
-        if not suspicious.any():
+    tt, vv = np.nonzero(failed & covered)
+    dist = sub_abs[tt, vv] - v_region[vv]
+    reported, reporters = np.unique(dist, return_counts=True)
+    suspicious = np.zeros(failed.shape, dtype=bool)
+    suspicious[tt, vv] = ~np.isin(
+        dist, reported[reporters >= CORROBORATION_FLOOR])
+    counts = suspicious.astype(np.int8)
+    reps = min(policy.rounds, 3)
+    need = reps // 2 + 1
+    for (chip_idx, bank_idx), group in groups.items():
+        vi = group.victim_idx
+        tests = np.flatnonzero(suspicious[:, vi].any(axis=1))
+        if not len(tests):
             continue
-        upheld = _revote_region(controllers, groups, sub_abs, covered,
-                                region_size, suspicious, policy, seed,
-                                path)
-        failed &= ~suspicious
-        failed |= upheld
+        ctrl = controllers[chip_idx]
+        bank = ctrl.chip.banks[bank_idx]
+        rows = group.unique_rows
+        saved = (bank._rng, bank.faults.vrt_leaky.copy(),
+                 getattr(bank.noise, "_coin_rng", None))
+        for batch in _revote_batches(bank, len(tests), reps):
+            for rep in range(1, reps):
+                run = tests[batch]
+                votes = counts[run[:, None], vi]
+                undecided = (suspicious[run[:, None], vi] & (votes < need)
+                             & (votes + reps - rep >= need))
+                live = undecided.any(axis=1)
+                if not live.any():
+                    break
+                run, undecided = run[live], undecided[live]
+                again = ctrl.test_regions(
+                    bank_idx, rows, (group.row_pos, group.cols),
+                    np.where(undecided,
+                             sub_abs[run[:, None], vi] * region_size, -1),
+                    region_size, coupled_rows_only=True,
+                    reseed=lambda t: reseed_bank(
+                        bank, seed, "robust.recursion", *paths[run[t]], rep,
+                        chip_idx, bank_idx))
+                counts[run[:, None], vi] += again & undecided
+                # Test by test, a row ends with the image of the last
+                # test whose repetition 1 wrote it (or its repetition
+                # 2); an earlier test's repetition 2 is undone there.
+                tt, at = np.nonzero(undecided)
+                at = group.row_pos[at]
+                if rep == 1:
+                    last = np.full(len(rows), -1)
+                    written, final = np.unique(at[::-1], return_index=True)
+                    last[written] = run[tt[::-1][final]]
+                    kept = bank.charge_words[rows]
+                else:
+                    stale = np.zeros(len(rows), dtype=bool)
+                    stale[at] = True
+                    stale[at[run[tt] == last[at]]] = False
+                    bank.charge_words[rows[stale]] = kept[stale]
+        bank._rng, bank.faults.vrt_leaky, noise_rng = saved
+        bank.faults._rng = bank._rng
+        if noise_rng is not None:
+            bank.noise._coin_rng = noise_rng
+    failed &= ~suspicious
+    failed |= counts >= need
+    return counts
+
+
+def _tally(sub_abs: np.ndarray, covered: np.ndarray, failed: np.ndarray,
+           v_region: np.ndarray, active: np.ndarray, fraction: float
+           ) -> Tuple[np.ndarray, Dict[int, int]]:
+    """A level's marginal victims, and its reporters per distance.
+
+    Marginal filter (Section 5.2.4, first filter): a victim failing in
+    most tested regions is noise, not data dependence.  Failing in
+    *every* tested region - even the two level-1 halves - marks a
+    content-independent cell (weak cell, leaky VRT) regardless of how
+    few regions were tested, because a real victim's neighbours cannot
+    be everywhere at once.  The reporters of a distance are the active
+    victims outside that filter that failed where it was tested.
+    """
+    # found[v, k]: victim v failed where distances[k] was tested.
+    tt, vv = np.nonzero(failed & covered)
+    distances, at = np.unique(sub_abs[tt, vv] - v_region[vv],
+                              return_inverse=True)
+    found = np.zeros((len(active), len(distances)), dtype=bool)
+    found[vv, at] = True
+    n_found, tested = found.sum(axis=1), covered.sum(axis=0)
+    marginal = active & (((tested >= 2) & (n_found == tested))
+                         | ((tested >= 4) & (n_found > fraction * tested)))
+    return marginal, {int(d): int(n) for d, n in zip(
+        distances, found[active & ~marginal].sum(axis=0)) if n}
 
 
 def recursive_neighbour_search(controllers: Sequence[MemoryController],
@@ -318,8 +347,7 @@ def recursive_neighbour_search(controllers: Sequence[MemoryController],
             ``rounds > 1`` every *uncorroborated* failure observation
             is re-voted on fresh seed-ladder streams (sequential
             best-of-three, early-exiting - see
-            :func:`_revote_uncorroborated` and
-            :func:`_revote_region`).
+            :func:`_revote_uncorroborated`).
         seed: root seed of the re-vote ladder (the campaign run seed).
 
     Returns:
@@ -345,65 +373,35 @@ def recursive_neighbour_search(controllers: Sequence[MemoryController],
             n_regions = row_bits // size
             groups = _group_victims(sample, active)
 
-            found: List[Set[int]] = [set() for _ in range(len(sample))]
-            tested = np.zeros(len(sample), dtype=np.int64)
             v_prev_region = sample.col // prev_size
             v_region = sample.col // size
-            tests = 0
-
-            run: List[Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]] = []
-            for d in candidate_dists:
-                parent = v_prev_region + d
-                in_range = (parent >= 0) & (parent < row_bits // prev_size)
-                for j in range(fan):
-                    sub_abs = parent * fan + j
-                    covered = active & in_range & (sub_abs >= 0) \
-                        & (sub_abs < n_regions)
-                    # The size-1 "region" that is the victim itself cannot
-                    # be tested against it.
-                    if size == 1:
-                        covered &= sub_abs != sample.col
-                    tests += 1
-                    if not covered.any():
-                        continue
-                    tested[covered] += 1
-                    run.append((sub_abs, covered, (li, d, j)))
-            # The whole level runs as one kernel call per bank.
-            pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                Tuple[int, ...]]] = []
-            if run:
-                failed = _run_region_tests(
-                    controllers, groups, [t[:2] for t in run], size)
-                pending = [(sub_abs, covered, fail, path) for
-                           (sub_abs, covered, path), fail in zip(run, failed)]
-
+            # One test per (candidate distance, subregion): the tested
+            # subregion of every active victim whose parent region is
+            # in the row.  The whole level runs as one kernel call per
+            # bank.
+            d_j = np.array([(d, j) for d in candidate_dists
+                            for j in range(fan)], dtype=np.int32)
+            parent = v_prev_region.astype(np.int32) + d_j[:, :1]
+            sub_abs = parent * fan + d_j[:, 1:]
+            covered = active & (parent >= 0) & (parent < row_bits // prev_size)
+            # The size-1 "region" that is the victim itself cannot be
+            # tested against it.
+            if size == 1:
+                covered &= sub_abs != sample.col
+            tests = len(d_j)
+            run = covered.any(axis=1)
+            sub_abs, covered = sub_abs[run], covered[run]
+            paths = [(li, d, j) for d, j in d_j[run].tolist()]
+            failed = _run_region_tests(controllers, groups, sub_abs,
+                                       covered, size)
             if policy is not None and policy.rounds > 1:
-                _revote_uncorroborated(controllers, groups, size,
-                                       pending, v_region, policy, seed)
-            for sub_abs, covered, failed, _path in pending:
-                for v in np.flatnonzero(failed & covered).tolist():
-                    found[v].add(int(sub_abs[v] - v_region[v]))
-
-            # Marginal filter (Section 5.2.4, first filter): a victim
-            # failing in most tested regions is noise, not data dependence.
-            # Failing in *every* tested region - even the two level-1
-            # halves - marks a content-independent cell (weak cell, leaky
-            # VRT) regardless of how few regions were tested, because a
-            # real victim's neighbours cannot be everywhere at once.
-            marginal = np.zeros(len(sample), dtype=bool)
-            for v in np.flatnonzero(active).tolist():
-                if tested[v] >= 2 and len(found[v]) == tested[v]:
-                    marginal[v] = True
-                elif tested[v] >= 4 and (len(found[v])
-                                         > config.marginal_region_fraction
-                                         * tested[v]):
-                    marginal[v] = True
+                _revote_uncorroborated(controllers, groups, size, sub_abs,
+                                       covered, failed, paths, v_region,
+                                       policy, seed)
+            marginal, reporters = _tally(
+                sub_abs, covered, failed, v_region, active,
+                config.marginal_region_fraction)
             active &= ~marginal
-
-            reporters: Dict[int, int] = {}
-            for v in np.flatnonzero(active).tolist():
-                for dist in found[v]:
-                    reporters[dist] = reporters.get(dist, 0) + 1
             outcome: RankingOutcome = rank_distances(
                 reporters, n_active=int(active.sum()),
                 threshold=config.ranking_threshold)

@@ -57,14 +57,17 @@ CHUNK_CELLS = 1 << 18
 class PatchedImages(NamedTuple):
     """The T row images one :meth:`Bank.write_rows_patched` call wrote.
 
-    Image ``t`` holds ``base[t]`` everywhere in ``rows``, then ``size``
-    system bits from ``span_start[t, j]`` in row ``rows[span_row[t,
-    j]]`` set to ``span_value[t]`` (``span_row < 0``: no span), then
-    every point ``(rows[point_row], point_col)`` set to
-    ``point_value[t]``.
+    Image ``t`` writes the rows ``rows[written[t]]``: ``base[t]``
+    everywhere, then ``size`` system bits from ``span_start[t, j]`` in
+    row ``rows[span_row[t, j]]`` set to ``span_value[t]`` (``span_row
+    < 0``: no span), then every point ``(rows[point_row], point_col)``
+    set to ``point_value[t]`` - ``point_row`` is shared by every image,
+    or ``(T, k)`` with a negative entry where image ``t`` has no
+    point ``j``.
     """
 
     rows: np.ndarray
+    written: np.ndarray
     base: np.ndarray
     span_row: np.ndarray
     span_start: np.ndarray
@@ -232,7 +235,8 @@ class Bank:
                            spans: Optional[Tuple[np.ndarray, np.ndarray,
                                                  int, int]] = None,
                            points: Optional[Tuple[np.ndarray, np.ndarray,
-                                                  int]] = None
+                                                  int]] = None,
+                           written: Optional[np.ndarray] = None
                            ) -> "PatchedImages":
         """Write rows that are a constant background plus sparse patches.
 
@@ -245,13 +249,16 @@ class Bank:
         with the region size.
 
         With a leading *test axis* - ``base`` of shape ``(T,)`` - the
-        call writes T images of the same n rows one after another, as
-        T consecutive tests would: ``rows`` then lists the T*n row
-        writes test-major (``np.tile(rows_n, T)``), span arrays are
-        ``(T, k)`` (a negative row index marks an absent span) and the
-        values are per image.  The bank keeps the last image; the
-        returned :class:`PatchedImages` describe all of them for
-        :meth:`retention_check_cells`.
+        call writes T images of n rows one after another, as T
+        consecutive tests would: ``rows`` then lists the row writes
+        test-major (``np.tile(rows_n, T)``), span arrays are ``(T, k)``
+        (a negative row index marks an absent span) and the values are
+        per image.  ``written``, a ``(T, n)`` mask over the n distinct
+        rows, lets image ``t`` write only the rows it marks (``rows``
+        lists only those writes, ``np.tile(rows_n, T)[written.ravel()]``;
+        every row is written by some image).  Each row keeps the last
+        image that wrote it; the returned :class:`PatchedImages`
+        describe all of them for :meth:`retention_check_cells`.
 
         Args:
             rows: bank row indices being written.
@@ -260,15 +267,30 @@ class Bank:
                 ``row_idx`` indexes into one image's rows and system
                 columns ``starts .. starts+size`` take ``value``.
             points: ``(row_idx, cols, value)`` - individual bits,
-                applied after the spans, shared by every image.
+                applied after the spans; ``row_idx`` is shared by every
+                image, or ``(T, k)`` per image (negative: no point).
+            written: optional ``(T, n)`` mask of the rows each image
+                writes (default: every image writes every row).
         """
         base = np.atleast_1d(np.asarray(base, dtype=np.uint8))
         n_tests = len(base)
         rows = np.asarray(rows)
-        n = len(rows) // n_tests
-        if n_tests > 1 and not (rows.reshape(n_tests, n) == rows[:n]).all():
-            raise ValueError("every image must write the same rows")
-        rows = rows[:n]
+        if written is None:
+            rows_n = rows[:len(rows) // n_tests]
+            written = np.ones((n_tests, len(rows_n)), dtype=bool)
+            if (rows.reshape(n_tests, -1) != rows_n).any():
+                raise ValueError("every image must write the same rows")
+        else:
+            # Row j of the images is the first write that marks it.
+            written = np.asarray(written, dtype=bool)
+            at = np.cumsum(written.ravel()).reshape(written.shape) - 1
+            rows_n = rows[at[written.argmax(axis=0),
+                             np.arange(written.shape[1])]]
+            if (written.sum() != len(rows) or not written.any(axis=0).all()
+                    or (np.tile(rows_n, n_tests)[written.ravel()]
+                        != rows).any()):
+                raise ValueError("every image must write rows of one "
+                                 "row set")
         if spans is None:
             spans = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                      1, 0)
@@ -278,7 +300,7 @@ class Bank:
                       np.empty(0, dtype=np.int64), 0)
         p_row, p_col, p_value = points
         images = PatchedImages(
-            rows=rows, base=base,
+            rows=rows_n, written=written, base=base,
             span_row=np.asarray(row_idx).reshape(n_tests, -1),
             span_start=np.asarray(starts).reshape(n_tests, -1),
             size=int(size),
@@ -289,26 +311,35 @@ class Bank:
             point_value=np.broadcast_to(np.asarray(p_value,
                                                    dtype=np.uint8),
                                         (n_tests,)))
-        self._store_image(images, n_tests - 1)
+        self._store_images(images,
+                           n_tests - 1 - written[::-1].argmax(axis=0))
         return images
 
-    def _store_image(self, images: "PatchedImages", t: int) -> None:
-        """Pack image ``t`` word-wise into :attr:`charge_words`."""
+    def _store_images(self, images: "PatchedImages",
+                      last: np.ndarray) -> None:
+        """Pack word-wise into :attr:`charge_words` each row's image.
+
+        Row ``images.rows[j]`` gets image ``last[j]``: its background,
+        then the spans and points that image puts in the row.
+        """
         rows = images.rows
-        n = len(rows)
-        anti = self.anti_rows[rows]
+        anti = self.anti_rows[rows].astype(np.uint8)
         # Background fill in charge domain: base XOR polarity per row.
-        fill = (images.base[t] ^ anti.astype(np.uint8)).astype(bool)
-        block = np.zeros((n, self._n_words), dtype=np.uint64)
+        fill = (images.base[last] ^ anti).astype(bool)
+        block = np.zeros((len(rows), self._n_words), dtype=np.uint64)
         block[fill] = _ONES
         block[:, -1] &= self._tail
-        present = images.span_row[t] >= 0
-        if present.any():
-            row_idx = images.span_row[t][present]
-            starts = images.span_start[t][present]
+        writers = np.flatnonzero(np.bincount(last,
+                                             minlength=len(images.base)))
+        span_row = images.span_row[writers]
+        ww, kk = np.nonzero(span_row >= 0)
+        row_idx = span_row[ww, kk]
+        mine = last[row_idx] == writers[ww]
+        if mine.any():
+            t, kk, row_idx = writers[ww[mine]], kk[mine], row_idx[mine]
+            starts = images.span_start[t, kk]
             size = images.size
-            charged = (images.span_value[t] ^ anti[row_idx].astype(np.uint8)
-                       ).astype(bool)
+            charged = (images.span_value[t] ^ anti[row_idx]).astype(bool)
             if self.row_bits % size == 0 and not (starts % size).any():
                 # Region-aligned spans (the recursion's case): apply
                 # the cached sparse masks - O(region bits), not O(row).
@@ -321,12 +352,20 @@ class Bank:
                 or_rows_masks(block, row_idx[charged], masks[charged])
                 clear_rows_masks(block, row_idx[~charged],
                                  masks[~charged])
-        if len(images.point_row):
-            row_idx = images.point_row
-            charge_v = images.point_value[t] ^ anti[row_idx].astype(np.uint8)
+        p_row = images.point_row
+        if p_row.ndim == 1:
+            kk, row_idx = np.arange(len(p_row)), p_row
+            t = last[row_idx]
+        else:
+            ww, kk = np.nonzero(p_row[writers] >= 0)
+            row_idx = p_row[writers[ww], kk]
+            mine = last[row_idx] == writers[ww]
+            t, kk, row_idx = writers[ww[mine]], kk[mine], row_idx[mine]
+        if len(row_idx):
             scatter_assign_bits(block, row_idx,
                                 self.mapping.sys_to_phys()[
-                                    images.point_col], charge_v)
+                                    images.point_col[kk]],
+                                images.point_value[t] ^ anti[row_idx])
         self.charge_words[rows] = block
 
     def write_all(self, data_sys: np.ndarray
@@ -488,8 +527,9 @@ class Bank:
         rb, n = self.row_bits, self.n_rows
         lens = self.ecc is not None and self.ecc.code is not None
         parts = []
+        n_coins = len(self.coupled)
         for t0, draws, failing in self._wait_chunks(
-                every, len(self.coupled), slice(None), planes, bounds,
+                every, lambda t: self._rng.random(n_coins), planes, bounds,
                 n_tests, reseed):
             k = len(draws)
             hits = [(tt, r[kk], p[kk]) for (tt, kk), r, p in
@@ -566,7 +606,8 @@ class Bank:
                               check_row_idx: np.ndarray,
                               check_cols: np.ndarray,
                               coupled_rows_only: bool = False,
-                              images: Optional["PatchedImages"] = None
+                              images: Optional["PatchedImages"] = None,
+                              reseed: Optional[Callable[[int], None]] = None
                               ) -> np.ndarray:
         """Retention waits; did specific cells read back corrupted?
 
@@ -580,36 +621,43 @@ class Bank:
         each had been written just before its own wait:
 
         * **RNG order.** Every wait draws exactly what a single read
-          draws, in order - the coupled-cell coins, the fault model's
-          draws (:meth:`RandomFaultModel.draw`), then the device-noise
-          coins - so the bank stream, the VRT state and the noise
-          clock end where T single tests leave them.
+          of its image's rows draws, in order - the coupled-cell coins,
+          the fault model's draws (:meth:`RandomFaultModel.draw`), then
+          the device-noise coins - so the bank stream, the VRT state
+          and the noise clock end where T single tests leave them.
+          ``reseed(t)``, when given, runs just before wait ``t`` draws
+          (the recursion's re-vote seed ladder).
         * **Visible cells only.** Without a real on-die ECC code a
           checked cell's outcome depends only on events *at* checked
           coordinates, so only the coupled and fault cells there are
-          evaluated, from their charge under each image.
+          evaluated, from their charge under each image.  A cell in a
+          row an image does not write is evaluated from what that
+          image would have put there; no checked cell of that image
+          can see it.
         * **ECC.** With a real code the stage's counters and ambiguous
           set cover the whole bank, so every cell is evaluated (cells
           in rows the images do not cover read the stored state) and
           every wait's whole-bank events go through
           :meth:`~repro.ecc.OnDieEcc.transform_read` (one call per
-          chunk of waits, see :meth:`_ecc_check`).
+          chunk of waits, see :meth:`_ecc_check`).  Every image must
+          then write the same rows.
 
         Stacked per-wait state is evaluated in chunks of at most
         :data:`CHUNK_CELLS` cells x waits.
 
         Args:
             rows: bank rows that were written (and are now read); with
-                ``images`` the T*n row reads, test-major, as passed to
+                ``images`` the row reads, test-major, as passed to
                 :meth:`write_rows_patched`.
             check_row_idx: per checked cell, index into one image's
                 rows.
             check_cols: per checked cell, system column.
-            coupled_rows_only: restrict the coupled-cell evaluation to
-                ``rows`` (see :meth:`_retention_flips` for when that
-                is safe).
+            coupled_rows_only: restrict each wait's coupled-cell
+                evaluation to the rows its image writes (see
+                :meth:`_retention_flips` for when that is safe).
             images: the images the waits read back, or None for one
                 wait over the stored state.
+            reseed: optional ``reseed(t)``, called before wait ``t``.
 
         Returns:
             Boolean array over the checked cells - shape ``(T,
@@ -618,34 +666,53 @@ class Bank:
             (an odd number of flip events landed on the cell, or
             injected noise forced it).
         """
-        n_tests = 1 if images is None else len(images.base)
-        rows = np.asarray(rows)
-        rows = rows[:len(rows) // n_tests]
+        if images is None:
+            rows = np.asarray(rows)
+            written = np.ones((1, len(rows)), dtype=bool)
+        else:
+            rows, written = images.rows, images.written
+        n_tests = len(written)
         rb = self.row_bits
         check_enc = (rows[check_row_idx].astype(np.int64) * rb
                      + check_cols)
         pop = self.coupled
-        # The coupled cells each wait draws coins for: all of them, or
-        # on a re-vote stream only those in ``rows``.
-        members = slice(None)
-        n_coins = len(pop)
-        if coupled_rows_only:
-            in_rows = np.zeros(self.n_rows, dtype=bool)
-            in_rows[rows] = True
-            members = np.flatnonzero(in_rows[pop.row])
-            n_coins = len(members)
         lens = self.ecc is not None and self.ecc.code is not None
+        if lens and not written.all():
+            raise ValueError("with an ECC code every image must write "
+                             "the same rows")
         targets, check_coord = np.unique(check_enc, return_inverse=True)
         keys = self._cell_keys()
+        # The coupled cells each wait draws coins for: all of them, or
+        # on a re-vote stream only those in the rows its image writes.
+        if coupled_rows_only:
+            row_pos = np.full(self.n_rows, -1, dtype=np.int64)
+            row_pos[rows] = np.arange(len(rows))
+            members = np.flatnonzero(row_pos[pop.row] >= 0)
+            mine = written[:, row_pos[pop.row[members]]]
+        else:
+            members = slice(None)
         if lens:
+            hit = slice(None)
             sel = [members] + [slice(None)] * 3
-            coin_idx = slice(None)
         else:
             hit = self._sorted_member(targets, keys[0][members])
-            coin_idx = np.flatnonzero(hit)
-            sel = [members[hit] if coupled_rows_only else coin_idx]
+            sel = [members[hit] if coupled_rows_only
+                   else np.flatnonzero(hit)]
             sel += [np.flatnonzero(self._sorted_member(targets, k))
                     for k in keys[1:]]
+        n_coins = len(pop)
+
+        def coins(t: int) -> np.ndarray:
+            if not coupled_rows_only:
+                return self._rng.random(n_coins)[hit]
+            # Ranks of the selected cells among wait t's coin draws;
+            # a selected cell outside its rows gets a coin nobody reads.
+            own = mine[t]
+            drawn = self._rng.random(int(own.sum()))
+            rank = (np.cumsum(own) - 1)[hit]
+            return (drawn[np.maximum(rank, 0)] if len(drawn)
+                    else np.ones(len(rank)))
+
         sel_rows, sel_phys, pos_rows, pos_phys, bounds = \
             self._positions(sel)
         planes = self._charge_planes(pos_rows, pos_phys, images)
@@ -655,7 +722,7 @@ class Bank:
 
         out = np.empty((n_tests, len(check_enc)), dtype=bool)
         for t0, draws, failing in self._wait_chunks(
-                sel, n_coins, coin_idx, planes, bounds, n_tests):
+                sel, coins, planes, bounds, n_tests, reseed):
             t1 = t0 + len(draws)
             if lens:
                 out[t0:t1] = self._ecc_check(
@@ -687,13 +754,14 @@ class Bank:
         bounds = np.cumsum([slots.size] + [len(r) for r in sel_rows[1:]])
         return sel_rows, sel_phys, pos_rows, pos_phys, bounds
 
-    def _wait_chunks(self, sel, n_coins: int, coin_idx, planes,
-                     bounds: np.ndarray, n_tests: int,
+    def _wait_chunks(self, sel, coins: Callable[[int], np.ndarray],
+                     planes, bounds: np.ndarray, n_tests: int,
                      reseed: Optional[Callable[[int], None]] = None):
         """Decide ``n_tests`` retention waits, a chunk at a time.
 
         Each wait draws what a single read draws, in order
-        (:meth:`_draw_read`; ``reseed(t)`` first, when given); each
+        (``reseed(t)`` first, when given; then ``coins(t)``, the
+        selected coupled cells' coins; then :meth:`_draw_read`); each
         chunk of at most :data:`CHUNK_CELLS` positions x waits is then
         decided at once from ``planes(t0, t1)``, the charge of the
         :meth:`_positions` under each wait's image.  Yields ``(t0,
@@ -709,8 +777,7 @@ class Bank:
             for t in range(t0, t1):
                 if reseed is not None:
                     reseed(t)
-                draws.append(self._draw_read(n_coins, coin_idx, sel[2],
-                                             sel[3]))
+                draws.append(self._draw_read(coins(t), sel[2], sel[3]))
             charged = np.split(planes(t0, t1), bounds[:-1], axis=1)
             failing = [pop.exposure(
                 charged[0].reshape(t1 - t0, -1, n_slot),
@@ -768,14 +835,21 @@ class Bank:
             + self.mapping.phys_to_sys()[pos_phys[written]],
             return_inverse=True)
         regions, region_of = np.unique(keys // size, return_inverse=True)
-        point = np.zeros(len(keys), dtype=bool)
-        p_keys = images.rows[images.point_row] * rb + images.point_col
-        if len(keys) and len(p_keys):
-            at = np.minimum(np.searchsorted(keys, p_keys), len(keys) - 1)
-            point[at[keys[at] == p_keys]] = True
-        # Per written cell: its region, point flag and row polarity.
+        # The written cells some image sets as a point (``point_cells``,
+        # each one of the distinct point keys ``p_of``), and per image
+        # (or once, for points every image shares) the keys it sets.
+        p_row = np.atleast_2d(images.point_row)
+        p_keys, p_inv = np.unique(
+            images.rows[np.maximum(p_row, 0)] * rb + images.point_col,
+            return_inverse=True)
+        p_set = np.zeros((len(p_row), len(p_keys)), dtype=bool)
+        p_set[np.nonzero(p_row >= 0)[0],
+              p_inv.reshape(p_row.shape)[p_row >= 0]] = True
+        cell_p = self._sorted_member(p_keys, keys)[inv]
+        point_cells = np.flatnonzero(cell_p)
+        p_of = np.searchsorted(p_keys, keys[inv[point_cells]])
+        # Per written cell: its region and row polarity.
         cell_region = region_of[inv]
-        cell_point = point[inv]
         cell_anti = self.anti_rows[pos_rows[written]]
         every = bool(written.all())
         base = images.base != 0
@@ -810,7 +884,12 @@ class Bank:
             charge = covered.take(cell_region, axis=1)[owner[t0:t1] - s0]
             charge &= span_flip[t0:t1, None]
             charge ^= base[t0:t1, None]
-            np.copyto(charge, point_value[t0:t1, None], where=cell_point)
+            if len(point_cells):
+                at_points = charge[:, point_cells]
+                np.copyto(at_points, point_value[t0:t1, None],
+                          where=(p_set[t0:t1] if len(p_set) > 1
+                                 else p_set)[:, p_of])
+                charge[:, point_cells] = at_points
             charge ^= cell_anti
             if every:
                 return charge
@@ -820,15 +899,14 @@ class Bank:
 
         return planes
 
-    def _draw_read(self, n_coupled: int, coupled, vrt, marginal):
-        """One retention wait's draws, in the order a read makes them.
+    def _draw_read(self, coins: np.ndarray, vrt, marginal):
+        """The rest of a retention wait's draws, after its coupled coins.
 
         Returns ``(coins, soft_flat, vrt_leaky, marginal_coin, noise)``
-        with the coins and the VRT state kept only for the selected
-        ``coupled``, ``vrt`` and ``marginal`` cells, and ``noise`` the
+        with the VRT state and marginal coins kept only for the
+        selected ``vrt`` and ``marginal`` cells, and ``noise`` the
         ``(rows, phys)`` forced cells.
         """
-        coins = self._rng.random(n_coupled)[coupled]
         soft, leaky, coin = self.faults.draw()
         if self.noise is None:
             empty = np.empty(0, dtype=np.int64)

@@ -129,22 +129,23 @@ class MemoryController:
 
     # -- tests -------------------------------------------------------------
 
-    def _account_test(self, n_rows: int, tests: int = 1) -> None:
-        self.stats.rows_written += n_rows * tests
+    def _account_test(self, rows: int, tests: int = 1) -> None:
+        self.stats.rows_written += rows
         self.stats.retention_waits += tests
         self.stats.tests += tests
-        self.stats.rows_read += n_rows * tests
+        self.stats.rows_read += rows
 
-    def _run_test(self, kind: str, n_rows: int,
+    def _run_test(self, kind: str, rows: int,
                   write: Callable[[], Any],
                   read: Callable[[Any], Any],
                   tests: int = 1, **where: int) -> Any:
         """Run ``tests`` write -> wait -> read tests, traced when obs is on.
 
-        ``read`` receives what ``write`` returned; each test writes and
-        reads ``n_rows`` rows.  The untraced branch is the exact
+        ``read`` receives what ``write`` returned; the tests write and
+        read ``rows`` rows in all.  The untraced branch is the exact
         pre-observability sequence; the traced branch wraps the same
-        calls in one ``test`` span (``kind``, ``rows``, ``tests`` and
+        calls in one ``test`` span (``kind``, ``rows`` - the rows each
+        test writes, their mean when the tests differ - ``tests`` and
         the ``where`` attributes - ``bank`` or ``banks`` - with
         ``phase.*`` children) and feeds the engine wall-time
         histogram.  Accounting and RNG draw order are identical on
@@ -153,11 +154,12 @@ class MemoryController:
         sess = obs.active()
         if sess is None:
             written = write()
-            self._account_test(n_rows, tests)
+            self._account_test(rows, tests)
             return read(written)
         tracer = sess.tracer
         t0 = time.perf_counter()
-        with tracer.span("test", kind=kind, rows=n_rows, tests=tests,
+        per_test = rows // tests if rows % tests == 0 else rows / tests
+        with tracer.span("test", kind=kind, rows=per_test, tests=tests,
                          **where):
             with tracer.span("phase.write"):
                 written = write()
@@ -167,7 +169,7 @@ class MemoryController:
                 pass  # the retention wait is simulated, not slept
             with tracer.span("phase.read"):
                 observed = read(written)
-        self._account_test(n_rows, tests)
+        self._account_test(rows, tests)
         sess.metrics.observe("io.test_ms",
                              (time.perf_counter() - t0) * 1e3)
         return observed
@@ -195,7 +197,9 @@ class MemoryController:
     def test_regions(self, bank: int, rows: np.ndarray,
                      victims: Tuple[np.ndarray, np.ndarray],
                      starts: np.ndarray, size: int,
-                     coupled_rows_only: bool = False) -> np.ndarray:
+                     coupled_rows_only: bool = False,
+                     reseed: Optional[Callable[[int], None]] = None
+                     ) -> np.ndarray:
         """T recursive region tests on one bank, as one batched kernel.
 
         Region test ``t`` is a pattern/inverse pair over ``rows``.  The
@@ -208,22 +212,26 @@ class MemoryController:
         axis) and all 2T retention waits evaluated in one
         :meth:`~repro.dram.bank.Bank.retention_check_cells` call, with
         the bank's RNG draws in the order 2T single tests make them.
-        Accounting is 2T tests over ``len(rows)`` rows each; a traced
-        run records one ``test`` span with ``tests=2T``.
+        Accounting is 2T tests over the rows each test writes; a
+        traced run records one ``test`` span with ``tests=2T``.
 
         Args:
             bank: bank index.
-            rows: bank rows hosting the victims (every test writes
-                and reads all of them).
+            rows: bank rows hosting the victims.
             victims: ``(row_idx, cols)`` - victim ``i`` is the cell at
                 system column ``cols[i]`` of ``rows[row_idx[i]]``.
             starts: ``(T, n_victims)`` system column where test ``t``'s
                 region for victim ``i`` starts, negative where test
                 ``t`` does not cover victim ``i``.
             size: region size in bits.
-            coupled_rows_only: restrict the coupled-cell evaluation to
-                ``rows`` (re-vote streams only; see
+            coupled_rows_only: run every test as a re-vote: it involves
+                only the victims it covers - it writes and reads only
+                their rows, sets only their bits, and evaluates only
+                those rows' coupled cells (re-vote streams only; see
                 :meth:`~repro.dram.bank.Bank._retention_flips`).
+                Without it every test writes and reads all ``rows``.
+            reseed: optional ``reseed(t)``, called just before region
+                test ``t`` draws (the re-vote seed ladder).
 
         Returns:
             Bool ``(T, n_victims)``: True where a covered victim read
@@ -232,24 +240,50 @@ class MemoryController:
         rows = np.asarray(rows)
         starts = np.asarray(starts, dtype=np.int64)
         row_idx, cols = victims
-        n_tests = 2 * len(starts)
         covered = starts >= 0
+        n_victims = covered.shape[1]
+        point_row, written = row_idx, None
+        if coupled_rows_only:
+            # Only the covered victims take part, each test with its
+            # own; rows hosting none of them are never written.
+            live = np.flatnonzero(covered.any(axis=0))
+            used, row_idx = np.unique(row_idx[live], return_inverse=True)
+            rows, cols = rows[used], cols[live]
+            starts, covered = starts[:, live], covered[:, live]
+            point_row = np.where(covered, row_idx, -1)
+            written = np.zeros((2 * len(starts), len(rows)), dtype=bool)
+            tt, vv = np.nonzero(covered)
+            written[2 * tt, row_idx[vv]] = True
+            written[1::2] = written[0::2]
+        n_tests = 2 * len(starts)
         base = np.tile(np.array([1, 0], dtype=np.uint8), len(starts))
         all_rows = np.tile(rows, n_tests)
+        if written is not None:
+            all_rows = all_rows[written.ravel()]
         b = self.chip.bank(bank)
         spans = (np.repeat(np.where(covered, row_idx, -1).astype(np.int32),
                            2, axis=0),
                  np.repeat(starts.astype(np.int32), 2, axis=0), size,
                  1 - base)
+        points = (point_row if point_row.ndim == 1
+                  else np.repeat(point_row, 2, axis=0), cols, base)
+        wait_reseed = None if reseed is None else (
+            lambda w: None if w % 2 else reseed(w // 2))
         flips = self._run_test(
-            "regions", len(rows),
+            "regions", len(all_rows),
             lambda: b.write_rows_patched(all_rows, base, spans=spans,
-                                         points=(row_idx, cols, base)),
+                                         points=points, written=written),
             lambda images: b.retention_check_cells(
                 all_rows, row_idx, cols,
-                coupled_rows_only=coupled_rows_only, images=images),
+                coupled_rows_only=coupled_rows_only, images=images,
+                reseed=wait_reseed),
             tests=n_tests, bank=bank)
-        return (flips[0::2] | flips[1::2]) & covered
+        failed = (flips[0::2] | flips[1::2]) & covered
+        if coupled_rows_only:
+            out = np.zeros((len(starts), n_victims), dtype=bool)
+            out[:, live] = failed
+            failed = out
+        return failed
 
     def test_patterns(self, data_sys: np.ndarray,
                       reseed: Optional[Callable[[int, int], None]] = None
@@ -294,7 +328,7 @@ class MemoryController:
 
         return self._run_test(
             "pattern" if data_sys.shape[1] == 1 else "pattern_per_row",
-            sum(bank.n_rows for bank in banks),
+            sum(bank.n_rows for bank in banks) * len(data_sys),
             lambda: [bank.write_all(data_sys) for bank in banks],
             lambda images: [
                 bank.retention_failures(img, bank_reseed(b))

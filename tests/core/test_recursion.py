@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (ParborConfig, VictimSample,
                         exhaustive_neighbour_search,
                         recursive_neighbour_search)
+from repro.core import recursion
 from repro.dram import MemoryController, vendor
+from tests import oracle
 
 from .conftest import plant_victims, quiet_chip, tiny_mapping
 
@@ -117,3 +121,25 @@ class TestTinyChipRecursion:
         # Level 1 always costs exactly its fanout.
         assert result.levels[0].tests == 2
         assert result.total_tests == sum(result.tests_per_level)
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.integers(min_value=0, max_value=12),
+       st.floats(min_value=0.1, max_value=0.9))
+@settings(max_examples=60, deadline=None)
+def test_level_tally_matches_per_victim_sets(seed, n_tests, fraction):
+    """The matrix bookkeeping of a level equals the per-victim set loop
+    it replaced: the same marginal victims and reporter counts."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    v_region = rng.integers(0, 16, size=n)
+    sub_abs = v_region + rng.integers(-3, 4, size=(n_tests, n))
+    covered = rng.random((n_tests, n)) < 0.8
+    failed = rng.random((n_tests, n)) < rng.random()
+    active = rng.random(n) < 0.9
+    got = recursion._tally(sub_abs, covered, failed, v_region, active,
+                           fraction)
+    want = oracle.level_tally(sub_abs, covered, failed, v_region, active,
+                              fraction)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]

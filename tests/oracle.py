@@ -23,6 +23,12 @@ from.  It is a test fake, never a production option:
   batched :meth:`MemoryController.test_regions` replaced: every region
   test is two single tests (:func:`test_rows_patched`, pattern then
   inverse), each a dense write and a full read-back.
+* **re-votes** - :func:`revote_uncorroborated` is the per-test loop
+  the batched recursion re-votes replaced: each suspicious region test
+  re-voted on its own (:func:`_revote_region`), one level-kernel call
+  per repetition and bank, the bank streams saved and restored around
+  every test; :func:`level_tally` is the per-victim set bookkeeping
+  (marginal filter, reporter tally) the level's matrix replaced.
 * **sweep kernel** - :func:`test_patterns` is the per-test loop the
   batched :meth:`MemoryController.test_patterns` replaced: test after
   test, every bank written in full and read back
@@ -66,10 +72,12 @@ from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
 
 import numpy as np
 
+import repro.core.recursion
 import repro.robust.vote
 from repro import obs
 from repro._kernels import WORD_BITS, pack_rows, unpack_rows
 from repro.core.patterns import inverse, solid
+from repro.core.recursion import CORROBORATION_FLOOR, _RowGroup
 from repro.dram.bank import Bank
 from repro.dram.cells import NO_NEIGHBOUR, CoupledCellPopulation
 from repro.dram.controller import MemoryController
@@ -82,14 +90,15 @@ from repro.ecc.secded import (CHECK_BITS, CHECK_COLUMN, CLEAN, CORRECTED,
                               UNDETECTED, HammingSecDed,
                               decode_with_tables)
 from repro.robust.verdicts import CellVerdicts, RoundsPolicy
-from repro.robust.vote import RobustSweepResult
+from repro.robust.vote import RobustSweepResult, reseed_bank
 from repro.runtime.seeds import ladder_seed
 
 Coord = Tuple[int, int, int, int]  # (chip, bank, row, sys_col)
 
 __all__ = ["write_rows", "write_rows_patched", "evaluate_failures",
            "retention_read_rows", "retention_check_cells",
-           "test_rows_patched", "test_regions", "retention_failures",
+           "test_rows_patched", "test_regions", "revote_uncorroborated",
+           "level_tally", "retention_failures",
            "test_patterns", "robust_sweep", "oracle_substrate",
            "injected_cells", "lens_transform_read",
            "beer_probe_round", "beer_classify", "beer_paired_outcomes",
@@ -285,33 +294,271 @@ def test_rows_patched(ctrl: MemoryController, bank: int, rows: np.ndarray,
 def test_regions(ctrl: MemoryController, bank: int, rows: np.ndarray,
                  victims: Tuple[np.ndarray, np.ndarray],
                  starts: np.ndarray, size: int,
-                 coupled_rows_only: bool = False) -> np.ndarray:
+                 coupled_rows_only: bool = False,
+                 reseed=None) -> np.ndarray:
     """Per-test image of :meth:`MemoryController.test_regions`.
 
     The loop the batched kernel replaced: each region test runs as
     two single tests - pattern, then inverse - each writing the
     whole image densely and reading it back before the next starts.
+    With ``coupled_rows_only`` a test involves only the victims it
+    covers, in their rows; ``reseed(t)`` runs before test ``t``.
     """
     row_pos, cols = victims
     starts = np.asarray(starts)
     failed = np.zeros(starts.shape, dtype=bool)
     for t, test_starts in enumerate(starts):
         use = test_starts >= 0
-        rows_of = row_pos[use]
-        flip_pos = test_rows_patched(
-            ctrl, bank, rows, base=1,
-            spans=(rows_of, test_starts[use], size, 0),
-            points=(row_pos, cols, 1),
-            check_row_idx=row_pos, check_cols=cols,
-            coupled_rows_only=coupled_rows_only)
-        flip_inv = test_rows_patched(
-            ctrl, bank, rows, base=0,
-            spans=(rows_of, test_starts[use], size, 1),
-            points=(row_pos, cols, 0),
-            check_row_idx=row_pos, check_cols=cols,
-            coupled_rows_only=coupled_rows_only)
-        failed[t] = (flip_pos | flip_inv) & use
+        t_rows, t_pos, t_cols, t_starts = rows, row_pos, cols, test_starts
+        if coupled_rows_only:
+            used, t_pos = np.unique(row_pos[use], return_inverse=True)
+            t_rows = np.asarray(rows)[used]
+            t_cols, t_starts = cols[use], test_starts[use]
+        t_use = t_starts >= 0
+        if reseed is not None:
+            reseed(t)
+        halves = [test_rows_patched(
+            ctrl, bank, t_rows, base=base,
+            spans=(t_pos[t_use], t_starts[t_use], size, 1 - base),
+            points=(t_pos, t_cols, base),
+            check_row_idx=t_pos, check_cols=t_cols,
+            coupled_rows_only=coupled_rows_only) for base in (1, 0)]
+        flips = (halves[0] | halves[1]) & t_use
+        if coupled_rows_only:
+            failed[t, use] = flips
+        else:
+            failed[t] = flips
     return failed
+
+
+# -- recursion re-votes ------------------------------------------------------
+
+
+def revote_uncorroborated(controllers, groups, region_size: int,
+                          sub_abs: np.ndarray, covered: np.ndarray,
+                          failed: np.ndarray, paths, v_region: np.ndarray,
+                          policy, seed: int) -> None:
+    """Per-test image of :func:`repro.core.recursion._revote_uncorroborated`.
+
+    The loop the batched re-votes replaced: every suspicious region
+    test of the level is re-voted on its own (:func:`_revote_region`),
+    each repetition one :meth:`MemoryController.test_regions` call per
+    bank over the undecided candidates' rows, the bank streams saved
+    and restored around every test.  ``failed`` is updated in place;
+    returns the suspicious observations' vote counts.
+    """
+    pending = [(s, c, f, p) for s, c, f, p
+               in zip(sub_abs, covered, failed, paths)]
+    counts = np.zeros(failed.shape, dtype=np.int64)
+    _revote_pending(controllers, groups, region_size, pending, v_region,
+                    policy, seed, counts)
+    return counts
+
+
+def _run_region_tests(controllers: Sequence[MemoryController],
+                      groups: Dict[Tuple[int, int], _RowGroup],
+                      tests: Sequence[Tuple[np.ndarray, np.ndarray]],
+                      region_size: int, revote: bool = False
+                      ) -> np.ndarray:
+    """Execute logical tests; return per-test, per-victim failure masks.
+
+    One :meth:`MemoryController.test_regions` kernel per (chip, bank)
+    runs every test that covers at least one of the bank's victims -
+    a bank a test does not cover sees no write, wait or RNG draw for
+    it.  Tests only write rows and never read each other's results,
+    and banks have independent RNG streams, so running a level bank
+    by bank is the same experiment as running it test by test.
+
+    Args:
+        controllers: one per chip.
+        groups: victims grouped by (chip, bank).
+        tests: ``(sub_abs, covered)`` per logical test - the
+            per-victim absolute subregion index (global sample
+            indexing; only entries where ``covered`` is True matter)
+            and the mask of victims whose candidate region falls
+            inside the row.
+        region_size: bits per subregion at this level.
+        revote: the tests run on a fresh reseeded re-vote stream, so
+            the coupled-cell evaluation may be restricted to the
+            tested rows (a large saving when re-voting a handful of
+            victims).
+    """
+    sub_abs = np.stack([t[0] for t in tests])
+    covered = np.stack([t[1] for t in tests])
+    failed = np.zeros(covered.shape, dtype=bool)
+    for (chip_idx, bank_idx), group in groups.items():
+        vi = group.victim_idx
+        use = covered[:, vi]
+        run = np.flatnonzero(use.any(axis=1))
+        if not len(run):
+            continue
+        # Every covered victim's subregion is flipped in its own row,
+        # victim bits held at the opposite value; only the victim
+        # cells are verified.
+        starts = np.where(use[run], sub_abs[run][:, vi] * region_size, -1)
+        failed[run[:, None], vi] = controllers[chip_idx].test_regions(
+            bank_idx, group.unique_rows, (group.row_pos, group.cols),
+            starts, region_size, coupled_rows_only=revote)
+    return failed
+
+
+def _filter_groups(groups: Dict[Tuple[int, int], _RowGroup],
+                   keep: np.ndarray
+                   ) -> Dict[Tuple[int, int], _RowGroup]:
+    """Restrict row groups to the victims selected by ``keep``.
+
+    Row retention tests are independent and the coupling mechanism is
+    intra-row, so re-testing only the kept victims' rows reproduces
+    their test conditions exactly.
+    """
+    out: Dict[Tuple[int, int], _RowGroup] = {}
+    for key, group in groups.items():
+        sel = keep[group.victim_idx]
+        if not sel.any():
+            continue
+        out[key] = _RowGroup(
+            victim_idx=group.victim_idx[sel],
+            rows=group.unique_rows[group.row_pos[sel]],
+            cols=group.cols[sel])
+    return out
+
+
+def _revote_region(controllers: Sequence[MemoryController],
+                   groups: Dict[Tuple[int, int], _RowGroup],
+                   sub_abs: np.ndarray, covered: np.ndarray,
+                   region_size: int, candidates: np.ndarray, policy,
+                   seed: int,
+                   path: Tuple[int, ...]) -> np.ndarray:
+    """Re-vote selected failure observations of one region test.
+
+    The initial pass consumed the bank's sequential RNG stream exactly
+    as the single-pass recursion would; the re-votes run on fresh
+    seed-ladder streams and the sequential stream (plus the fault
+    model's VRT state and any injected-noise coins) is restored
+    afterwards, so the surrounding recursion is byte-identical to a
+    ``rounds=1`` run except where the vote changes a verdict.
+
+    The vote is a *sequential* best-of-three majority, capped at three
+    executions regardless of ``policy.rounds``: the recursion only
+    needs soft-error rejection (a one-off flip will not repeat on a
+    fresh seeded stream), so a failure is kept once it is observed
+    twice, dropped once two fresh runs miss it, and the loop stops as
+    soon as every candidate is decided.  Only victims that failed the
+    initial pass can be candidates - exactly the sweep's
+    vote-attribution rule, so injected noise in a re-vote can never
+    forge a reporter that the initial pass did not see.  Each re-vote
+    re-tests only the undecided candidates' rows
+    (:func:`_filter_groups`) and evaluates only those rows' coupled
+    cells, so its cost scales with the observations under vote, not
+    the sample size.  Deeper ``rounds`` policies buy statistical depth
+    in the sweep, where per-cell verdicts live, not here.
+
+    Returns the per-victim vote counts of the candidates (a failure
+    is *upheld* by the vote when its count reaches a majority).
+    """
+    touched = {key for key, group in groups.items()
+               if candidates[group.victim_idx].any()}
+    saved = []
+    for chip_idx, bank_idx in touched:
+        bank = controllers[chip_idx].chip.banks[bank_idx]
+        noise_rng = getattr(bank.noise, "_coin_rng", None)
+        saved.append((bank, bank._rng, bank.faults.vrt_leaky.copy(),
+                      noise_rng))
+    counts = candidates.astype(np.int64)
+    reps = min(policy.rounds, 3)
+    need = reps // 2 + 1
+    for rep in range(1, reps):
+        remaining = reps - rep
+        undecided = (candidates & (counts < need)
+                     & (counts + remaining >= need))
+        if not undecided.any():
+            break
+        sub_groups = _filter_groups(groups, undecided)
+        for chip_idx, bank_idx in sub_groups:
+            reseed_bank(controllers[chip_idx].chip.banks[bank_idx], seed,
+                        "robust.recursion", *path, rep, chip_idx, bank_idx)
+        again = _run_region_tests(controllers, sub_groups,
+                                  [(sub_abs, covered)], region_size,
+                                  revote=True)[0]
+        counts += (again & undecided)
+    for bank, rng, leaky, noise_rng in saved:
+        bank._rng = rng
+        bank.faults._rng = rng
+        bank.faults.vrt_leaky = leaky
+        if noise_rng is not None:
+            bank.noise._coin_rng = noise_rng
+    return counts
+
+
+def _revote_pending(controllers: Sequence[MemoryController],
+                    groups: Dict[Tuple[int, int], _RowGroup],
+                    region_size: int, pending,
+                    v_region: np.ndarray, policy, seed: int,
+                    counts: np.ndarray) -> None:
+    """Re-vote the uncorroborated failures of one recursion level.
+
+    ``pending`` holds every executed region test of the level as
+    ``(sub_abs, covered, failed, path)``; the ``failed`` masks are
+    updated in place.  A failure observation is *suspicious* - and
+    gets the :func:`_revote_region` treatment - only when the child
+    distance it reports has fewer than :data:`CORROBORATION_FLOOR`
+    reporters across the level.  Crowd-corroborated observations are
+    accepted as-is, which is what keeps the repeat-and-vote recursion
+    within a constant factor of the single-pass one: the overwhelming
+    majority of failures report the true distances, and those have
+    hundreds of reporters.  ``counts[t]`` receives test ``t``'s vote
+    counts.
+    """
+    if not pending:
+        return
+    # Per test and victim: the child distance a failure reports, and
+    # whether fewer than CORROBORATION_FLOOR failures level-wide
+    # report it.
+    dist = np.stack([sub_abs for sub_abs, *_ in pending]) - v_region
+    observed = np.stack([failed & covered
+                         for _s, covered, failed, _p in pending])
+    reported, reporters = np.unique(dist[observed], return_counts=True)
+    crowd = reported[reporters >= CORROBORATION_FLOOR]
+    suspicious_tests = observed & ~np.isin(dist, crowd)
+    for (sub_abs, covered, failed, path), suspicious, votes in zip(
+            pending, suspicious_tests, counts):
+        if not suspicious.any():
+            continue
+        votes[:] = _revote_region(controllers, groups, sub_abs, covered,
+                                  region_size, suspicious, policy, seed,
+                                  path)
+        upheld = votes >= min(policy.rounds, 3) // 2 + 1
+        failed &= ~suspicious
+        failed |= upheld
+
+
+def level_tally(sub_abs: np.ndarray, covered: np.ndarray,
+                failed: np.ndarray, v_region: np.ndarray,
+                active: np.ndarray, fraction: float
+                ) -> Tuple[np.ndarray, Dict[int, int]]:
+    """Per-victim image of :func:`repro.core.recursion._tally`.
+
+    The loop the matrix bookkeeping replaced: a set of failing
+    distances per victim, the marginal filter victim by victim, and a
+    reporter tally over the surviving victims' sets.
+    """
+    found: List[Set[int]] = [set() for _ in range(len(active))]
+    tested = np.zeros(len(active), dtype=np.int64)
+    for sub, cov, fail in zip(sub_abs, covered, failed):
+        tested[cov] += 1
+        for v in np.flatnonzero(fail & cov).tolist():
+            found[v].add(int(sub[v] - v_region[v]))
+    marginal = np.zeros(len(active), dtype=bool)
+    for v in np.flatnonzero(active).tolist():
+        if tested[v] >= 2 and len(found[v]) == tested[v]:
+            marginal[v] = True
+        elif tested[v] >= 4 and len(found[v]) > fraction * tested[v]:
+            marginal[v] = True
+    reporters: Dict[int, int] = {}
+    for v in np.flatnonzero(active & ~marginal).tolist():
+        for dist in found[v]:
+            reporters[dist] = reporters.get(dist, 0) + 1
+    return marginal, reporters
 
 
 # -- whole-chip tests -------------------------------------------------------
@@ -561,6 +808,7 @@ _PATCHES = (
     (MemoryController, "test_regions", test_regions),
     (MemoryController, "test_patterns", test_patterns),
     (repro.robust.vote, "robust_sweep", robust_sweep),
+    (repro.core.recursion, "_revote_uncorroborated", revote_uncorroborated),
 )
 
 
@@ -571,10 +819,10 @@ def oracle_substrate() -> Iterator[None]:
     Every bank write, coupled-cell decay and retention read - including
     the ones :meth:`Bank.write_all` and :meth:`Bank.retention_read_all`
     make - goes through the dense formulations above, whole-chip and
-    region tests run test by test, and the robust sweep keeps its
-    set-based vote ledger.  In-process only: worker processes started
-    inside the block do not inherit the patch on spawn-start
-    platforms.
+    region tests and the recursion's re-votes run test by test, and
+    the robust sweep keeps its set-based vote ledger.  In-process
+    only: worker processes started inside the block do not inherit
+    the patch on spawn-start platforms.
     """
     saved = [(cls, name, cls.__dict__[name]) for cls, name, _ in _PATCHES]
     for cls, name, fn in _PATCHES:

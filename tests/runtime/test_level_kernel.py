@@ -9,19 +9,30 @@ must be indistinguishable: the same failure masks, the same
 ``TestStats``, the same bank state afterwards (``charge_words``, the
 VRT state, the on-die ECC counters and ambiguous set, the noise clock)
 and the same next draw of every random stream.
+
+The recursion's re-votes run each repetition of a level's suspicious
+region tests as one such kernel call per bank, every test on its own
+reseeded stream; ``tests.oracle.revote_uncorroborated`` keeps the
+test-by-test loop they replaced, and the two must agree the same way.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core import recursion
+from repro.core.victims import VictimSample
 from repro.dram import CouplingSpec, DramChip, FaultSpec, vendor
 from repro.dram.controller import MemoryController
 from repro.dram.faults import DeviceNoiseModel, ForcedFlipNoise, NoiseSpec
 from repro.dram.mapping import AddressMapping
 from repro.ecc import HammingSecDed, OnDieEcc
 from repro.ecc.beer import InferredEcc, _rref
+from repro.robust import RoundsPolicy
 from repro.runtime.chaos import corrupt_inferred_ecc
 
 from tests import oracle
@@ -47,8 +58,8 @@ def _chip(row_bits, seed):
                     seed=seed)
 
 
-def _attach(chip, ecc, noise, seed):
-    bank = chip.banks[0]
+def _attach(chip, ecc, noise, seed, bank_idx=0):
+    bank = chip.banks[bank_idx]
     code = HammingSecDed.for_vendor("ABC"[seed % 3], seed)
     if ecc == "lens":
         bank.ecc = OnDieEcc(code)
@@ -98,8 +109,8 @@ def _case(seed, row_bits, n_tests):
     return rows, (row_idx, v_cols), starts, size
 
 
-def _state(ctrl, masks):
-    bank = ctrl.chip.banks[0]
+def _state(ctrl, masks, bank_idx=0):
+    bank = ctrl.chip.banks[bank_idx]
     s = ctrl.stats
     state = {
         "masks": masks,
@@ -168,11 +179,30 @@ def test_level_kernel_matches_per_test_oracle(seed, row_bits, n_tests, ecc,
                                               noise, rows_only):
     if row_bits % 64:
         ecc = None
+    if ecc and rows_only:
+        # Re-vote tests write different rows, which a bank with an
+        # ECC code only takes one test at a time.
+        n_tests = 1
     got = _run(seed, row_bits, n_tests, ecc, noise, rows_only, _batched)
     want = _run(seed, row_bits, n_tests, ecc, noise, rows_only,
                 oracle.test_regions)
     for a, b in zip(got, want):
         _assert_same(a, b)
+
+
+def test_ecc_bank_takes_one_revote_row_set_at_a_time():
+    """With a real ECC code a read decodes the whole bank, so images
+    over different rows (re-vote tests) are refused, not mis-read."""
+    chip = _chip(8192, 3)
+    _attach(chip, "lens", None, 3)
+    rows, victims, starts, size = _case(3, 8192, 6)
+    ctrl = MemoryController(chip)
+    starts[:] = -1
+    starts[0, 0] = starts[1, -1] = 0
+    assert victims[0][0] != victims[0][-1]
+    with pytest.raises(ValueError, match="same rows"):
+        ctrl.test_regions(0, rows, victims, starts[:2], size,
+                          coupled_rows_only=True)
 
 
 def test_recover_bank_reaches_ambiguity():
@@ -241,3 +271,137 @@ def test_batched_halves_match_sequential_oracle(seed, row_bits, n_images):
     assert np.array_equal(got, np.array(want).reshape(got.shape))
     assert np.array_equal(batched.charge_words, single.charge_words)
     assert batched._rng.random() == single._rng.random()
+
+
+# -- batched re-votes ---------------------------------------------------------
+
+
+def _revote_level(seed, n_chips, n_banks, ecc, noise, arm_at, rounds,
+                  revote):
+    """One level's initial pass plus its re-votes, on fresh chips.
+
+    Victims are coupled cells and a few arbitrary cells of every bank;
+    each test probes one distance of its own, so most distances have
+    few reporters, and random extra failures give the vote observations
+    to drop.  A bank's device noise switches on ``arm_at`` waits after
+    the initial pass.
+    """
+    rng = np.random.default_rng(seed)
+    name = "ABC"[seed % 3]
+    controllers, coords = [], []
+    for c in range(n_chips):
+        chip = vendor(name).make_chip(seed=seed + c, n_rows=N_ROWS,
+                                      n_banks=n_banks)
+        for b, bank in enumerate(chip.banks):
+            _attach(chip, ecc, noise, seed + 7 * c + b, bank_idx=b)
+            pop = bank.coupled
+            live = np.flatnonzero(pop.phys < bank.row_bits)
+            pick = rng.choice(live, size=6, replace=False)
+            rows, phys = pop.row[pick], pop.phys[pick]
+            if isinstance(bank.noise, ForcedFlipNoise) and c == b == 0:
+                # One victim the noise corrupts on every read.
+                rows = np.append(rows, bank.noise.rows[0])
+                phys = np.append(phys, bank.noise.phys_cols[0])
+            if isinstance(bank.noise, DeviceNoiseModel) and c == b == 0:
+                # One victim an injected VRT cell corrupts on every
+                # read once the noise is armed.
+                bank.noise.vrt_row[0] = rows[0]
+                bank.noise.vrt_phys[0] = phys[0]
+            p2s = bank.mapping.phys_to_sys()
+            coords += [(c, b, int(r), int(col))
+                       for r, col in zip(rows, p2s[phys])]
+            coords += [(c, b, int(rng.integers(N_ROWS)),
+                        int(rng.integers(bank.row_bits))) for _ in range(2)]
+        controllers.append(MemoryController(chip))
+    sample = VictimSample.from_coords(sorted(set(coords)))
+    groups = recursion._group_victims(sample,
+                                      np.ones(len(sample), dtype=bool))
+    size = int(rng.choice([1, 8, 64]))
+    n_regions = 8192 // size
+    v_region = sample.col // size
+    shifts = rng.choice(np.arange(-4, 5), size=int(rng.integers(3, 9)),
+                        replace=False)
+    sub_abs = v_region + shifts[:, None]
+    covered = ((sub_abs >= 0) & (sub_abs < n_regions)
+               & (rng.random(sub_abs.shape) < 0.9))
+    if size == 1:
+        covered &= sub_abs != sample.col
+    paths = [(2, int(d), j) for j, d in enumerate(shifts)]
+    failed = recursion._run_region_tests(controllers, groups, sub_abs,
+                                         covered, size)
+    failed |= covered & (rng.random(covered.shape) < 0.05)
+    for ctrl in controllers:
+        for bank in ctrl.chip.banks:
+            if isinstance(bank.noise, DeviceNoiseModel):
+                bank.noise.spec = replace(
+                    bank.noise.spec,
+                    active_after=bank.noise.reads + arm_at)
+    counts = revote(controllers, groups, size, sub_abs, covered, failed,
+                    paths, v_region, RoundsPolicy(rounds=rounds), seed)
+    states = [_state(ctrl, None, b) for ctrl in controllers
+              for b in range(n_banks)]
+    return failed, counts, states
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.integers(min_value=1, max_value=2),
+       st.integers(min_value=1, max_value=2),
+       st.sampled_from([None, "lens"]),
+       st.sampled_from([None, "device", "forced"]),
+       st.integers(min_value=-1, max_value=34),
+       st.sampled_from([2, 3, 4]))
+@settings(max_examples=50, deadline=None)
+def test_revotes_match_per_test_oracle(seed, n_chips, n_banks, ecc, noise,
+                                       arm_at, rounds):
+    """Batched re-votes == the per-test loop: upheld failures, vote
+    counts, and every bank's streams, VRT state, noise clock and next
+    coin, charge, ECC counters and TestStats - with device noise
+    switching on before, inside or after the level's re-vote block
+    (at most 2 x 8 tests x 2 repetitions = 32 waits)."""
+    _assert_revotes_match(seed, n_chips, n_banks, ecc, noise, arm_at,
+                          rounds)
+
+
+@pytest.mark.parametrize("arm_at", [0, 1, 2, 3, 5, 8, 13])
+def test_revotes_match_when_noise_arms_in_the_block(arm_at):
+    """Noise on a re-voted victim that switches on at a chosen wait of
+    the block: the order of the waits decides which repetitions see
+    it, so the batches must fall back to the test-by-test order."""
+    for seed in range(12):
+        _assert_revotes_match(seed, 1, 1, None, "device", arm_at, 3)
+
+
+def _assert_revotes_match(*case):
+    got = _revote_level(*case, recursion._revote_uncorroborated)
+    want = _revote_level(*case, oracle.revote_uncorroborated)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    for a, b in zip(got[2], want[2]):
+        _assert_same(a, b)
+
+
+def test_revotes_batch_a_level_per_bank_and_repetition():
+    """A level's re-votes are at most one kernel call per bank and
+    repetition, and the votes really uphold and drop failures."""
+    calls = []
+    kernel = MemoryController.test_regions
+
+    def counted(ctrl, bank, *args, **kwargs):
+        calls.append((id(ctrl), bank, kwargs.get("coupled_rows_only")))
+        return kernel(ctrl, bank, *args, **kwargs)
+
+    upheld = dropped = 0
+    MemoryController.test_regions = counted
+    try:
+        for seed in range(4):
+            calls.clear()
+            failed, counts, _ = _revote_level(
+                seed, 2, 2, None, "forced", 0, 3,
+                recursion._revote_uncorroborated)
+            revotes = [c for c in calls if c[2]]
+            assert len(revotes) <= 2 * len(set(revotes))
+            upheld += int((counts >= 2).sum())
+            dropped += int(((counts > 0) & (counts < 2)).sum())
+    finally:
+        MemoryController.test_regions = kernel
+    assert upheld and dropped
