@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checks (the CI docs job).
 
-Four passes:
+Five passes:
 
 1. **Relative links resolve.** Every ``[text](target)`` markdown link
    in the top-level docs and ``docs/*.md`` whose target is not an URL
@@ -19,6 +19,13 @@ Four passes:
    ``repro.dram.bank``) must cite ``docs/KERNELS.md`` in their module
    docstrings, and ``docs/KERNELS.md`` must exist — the layout
    contract cannot silently detach from the code that implements it.
+5. **Code names resolve.** Every backticked ``Class.attr`` reference
+   whose ``Class`` is a class defined in ``src/repro`` must name a
+   method, class attribute, field or ``self.attr`` assignment of that
+   class (or of a ``src/repro`` class it derives from), and every
+   backticked private name (``_name``) must be defined in
+   ``src/repro`` or ``tests/oracle.py``, so deleted or renamed code
+   cannot linger in the docs.
 
 Run from the repository root:
 
@@ -27,6 +34,7 @@ Run from the repository root:
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 import shlex
@@ -45,6 +53,8 @@ FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
 CLI_RE = re.compile(r"^\s*python -m repro\b(.*)$")
 FILE_REF_RE = re.compile(r"`((?:benchmarks|tests|examples|scripts)/"
                          r"[\w./-]+\.(?:py|txt))`")
+CLASS_REF_RE = re.compile(r"`([A-Z]\w*)\.(\w+)")
+PRIVATE_REF_RE = re.compile(r"`(_[a-z]\w*)`")
 
 
 def check_links(path: pathlib.Path, text: str) -> list:
@@ -94,8 +104,6 @@ KERNEL_CONTRACT_MODULES = ("src/repro/_kernels.py",
 
 
 def check_kernel_contract() -> list:
-    import ast
-
     errors = []
     contract = ROOT / "docs" / "KERNELS.md"
     if not contract.exists():
@@ -114,13 +122,86 @@ def check_kernel_contract() -> list:
     return errors
 
 
+def _assigned(node) -> list:
+    """Targets of an assignment node (none for other nodes)."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        return [node.target]
+    return []
+
+
+def _self_attrs(node) -> set:
+    return {t.attr for sub in ast.walk(node) for t in _assigned(sub)
+            if isinstance(t, ast.Attribute)
+            and isinstance(t.value, ast.Name) and t.value.id == "self"}
+
+
+def code_names() -> tuple:
+    """What the docs may name: ``(classes, names)``.
+
+    ``classes`` maps each class defined in ``src/repro`` to ``(its
+    attributes, its base names)``: methods, class-level assignments
+    and annotations, and every ``self.<name>`` it assigns; same-named
+    classes merge.  The names are every function, class, assignment
+    and ``self`` attribute in ``src/repro`` and ``tests/oracle.py``.
+    """
+    classes: dict = {}
+    names: set = set()
+    modules = sorted((ROOT / "src" / "repro").rglob("*.py"))
+    for module in modules + [ROOT / "tests" / "oracle.py"]:
+        tree = ast.parse(module.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.add(node.name)
+            names.update(t.id for t in _assigned(node)
+                         if isinstance(t, ast.Name))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names.update(_self_attrs(node))
+            if module not in modules:
+                continue
+            attrs, bases = classes.setdefault(node.name, (set(), set()))
+            bases.update(b.id for b in node.bases
+                         if isinstance(b, ast.Name))
+            attrs.update(_self_attrs(node))
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef,
+                                     ast.AsyncFunctionDef)):
+                    attrs.add(item.name)
+                attrs.update(t.id for t in _assigned(item)
+                             if isinstance(t, ast.Name))
+    return classes, names
+
+
+def check_code_refs(path: pathlib.Path, text: str, classes: dict,
+                    names: set) -> list:
+    def has(name: str, attr: str, seen: frozenset = frozenset()) -> bool:
+        attrs, bases = classes[name]
+        return attr in attrs or any(
+            has(b, attr, seen | {name}) for b in bases
+            if b in classes and b not in seen)
+
+    rel = path.relative_to(ROOT)
+    return ([f"{rel}: `{name}.{attr}` names no member of class {name}"
+             for name, attr in CLASS_REF_RE.findall(text)
+             if name in classes and not has(name, attr)]
+            + [f"{rel}: `{name}` is defined nowhere in src/repro or "
+               f"tests/oracle.py"
+               for name in PRIVATE_REF_RE.findall(text)
+               if name not in names])
+
+
 def main() -> int:
     errors = []
+    classes, names = code_names()
     for path in DOC_FILES:
         text = path.read_text()
         errors += check_links(path, text)
         errors += check_cli_commands(path, text)
         errors += check_file_refs(path, text)
+        errors += check_code_refs(path, text, classes, names)
     errors += check_kernel_contract()
     for error in errors:
         print(f"error: {error}", file=sys.stderr)

@@ -1,10 +1,9 @@
 """The bit-packed word-wise substrate kernel library.
 
 The DRAM substrate stores its row state bit-packed into little-endian
-``uint64`` words, and the write / decay / compare / extraction hot
-loops run as word-wise boolean algebra (XOR, AND, popcount) over those
-words.  Each hot operation has exactly one implementation: these
-kernels.
+``uint64`` words, and the write / decay / read hot loops run as
+word-wise boolean algebra (XOR, AND, popcount) over those words.
+Each hot operation has exactly one implementation: these kernels.
 
 **Equivalence invariant.** Packing is a pure change of representation
 - ``unpack_rows(pack_rows(x), n) == x`` for any 0/1 array - and every
@@ -31,15 +30,13 @@ Packed layout (see ``docs/KERNELS.md`` for the full contract):
 from __future__ import annotations
 
 import sys
-from typing import Tuple
 
 import numpy as np
 
 __all__ = [
     "WORD_BITS", "packed_words", "tail_mask", "pack_rows", "unpack_rows",
-    "popcount", "gather_bits", "scatter_assign_bits", "scatter_flip_bits",
-    "scatter_span_masks", "or_rows_masks", "clear_rows_masks",
-    "diff_coords",
+    "popcount", "gather_bits", "scatter_assign_bits", "scatter_span_masks",
+    "or_rows_masks", "clear_rows_masks",
 ]
 
 
@@ -159,9 +156,7 @@ def _grouped_reduce(flat: np.ndarray, idx: np.ndarray,
 
     Sort-and-``reduceat`` replacement for ``np.<op>.at`` (which is an
     order of magnitude slower per element).  ``op`` is one of
-    ``"or"`` (set bits), ``"andnot"`` (clear bits), ``"xor"`` (toggle
-    bits; duplicate masks cancel pairwise, exactly like repeated
-    ``^=``).
+    ``"or"`` (set bits) or ``"andnot"`` (clear bits).
     """
     if not len(idx):
         return
@@ -174,8 +169,6 @@ def _grouped_reduce(flat: np.ndarray, idx: np.ndarray,
         flat[targets] |= np.bitwise_or.reduceat(masks, starts)
     elif op == "andnot":
         flat[targets] &= ~np.bitwise_or.reduceat(masks, starts)
-    elif op == "xor":
-        flat[targets] ^= np.bitwise_xor.reduceat(masks, starts)
     else:  # pragma: no cover - internal misuse
         raise ValueError(f"unknown op {op!r}")
 
@@ -211,21 +204,6 @@ def scatter_assign_bits(words: np.ndarray, row_idx: np.ndarray,
     setting = v == 1
     _grouped_reduce(flat, idx[setting], masks[setting], "or")
     _grouped_reduce(flat, idx[~setting], masks[~setting], "andnot")
-
-
-def scatter_flip_bits(words: np.ndarray, row_idx: np.ndarray,
-                      cols: np.ndarray) -> None:
-    """Toggle individual cells of packed rows (in place).
-
-    Word-wise image of ``np.bitwise_xor.at(dense, (row_idx, cols), 1)``:
-    the retention-decay application - each flip *event* toggles its
-    cell, so an even number of events on one cell cancels.
-    """
-    if not len(row_idx):
-        return
-    n_words = words.shape[1]
-    idx = row_idx * n_words + (cols >> 6)
-    _grouped_reduce(words.reshape(-1), idx, _bit_masks(cols), "xor")
 
 
 def scatter_span_masks(block: np.ndarray, row_idx: np.ndarray,
@@ -283,29 +261,3 @@ def clear_rows_masks(block: np.ndarray, row_idx: np.ndarray,
     m = masks[order]
     starts = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))
     block[r[starts]] &= ~np.bitwise_or.reduceat(m, starts, axis=0)
-
-
-# -- readback compare -----------------------------------------------------
-
-
-def diff_coords(a: np.ndarray, b: np.ndarray, n_bits: int
-                ) -> Tuple[np.ndarray, np.ndarray]:
-    """Readback compare: coordinates where two packed states differ.
-
-    Word-wise image of ``np.nonzero(unpack(a) != unpack(b))``: XOR the
-    words, mask the tail, and expand only the nonzero words back into
-    bit coordinates.  Both inputs have shape ``(n_rows, n_words)``;
-    returns ``(row_idx, cols)`` sorted by (row, col).
-    """
-    x = a ^ b
-    if x.shape[-1]:
-        x[..., -1] &= tail_mask(n_bits)
-    nz_r, nz_w = np.nonzero(x)
-    empty = np.empty(0, dtype=np.int64)
-    if not len(nz_r):
-        return empty, empty
-    vals = x[nz_r, nz_w]
-    bits = unpack_rows(vals[:, None], WORD_BITS)
-    hit_i, hit_b = np.nonzero(bits)
-    return (nz_r[hit_i].astype(np.int64),
-            (nz_w[hit_i] * WORD_BITS + hit_b).astype(np.int64))

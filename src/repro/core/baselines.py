@@ -61,7 +61,7 @@ def random_pattern_test(controllers: Sequence[MemoryController],
             if per_row:
                 data = rng.integers(0, 2, size=(ctrl.n_rows, row_bits),
                                     dtype=np.uint8)
-                per_bank = ctrl.test_pattern_per_row(data)
+                per_bank = ctrl.test_pattern(data)
             else:
                 per_bank = ctrl.test_pattern(random_pattern(row_bits, rng))
             _collect(detected, chip_idx, per_bank)

@@ -36,8 +36,7 @@ import numpy as np
 
 from .._kernels import (clear_rows_masks, gather_bits, or_rows_masks,
                         pack_rows, packed_words, scatter_assign_bits,
-                        scatter_flip_bits, scatter_span_masks, tail_mask,
-                        unpack_rows)
+                        scatter_span_masks, tail_mask, unpack_rows)
 from .cells import CoupledCellPopulation
 from .faults import RandomFaultModel
 from .mapping import AddressMapping
@@ -170,12 +169,10 @@ class Bank:
         #: it can only add observed corruption, never cancel a flip.
         self.noise = None
         #: optional on-die ECC stage (:class:`repro.ecc.OnDieEcc`).
-        #: When attached, every retention read is routed through
-        #: :meth:`_observed_errors`, which collapses the raw flip/noise
-        #: events into the per-cell error set and passes it through the
-        #: per-word SEC-DED decode - readers then see the
-        #: post-correction view (or, in recovery mode, the un-distorted
-        #: raw set).
+        #: When attached, every retention read's raw flip/noise events
+        #: pass through its per-word SEC-DED decode (:meth:`_events`) -
+        #: readers then see the post-correction view (or, in recovery
+        #: mode, the un-distorted raw set).
         self.ecc = None
         self._n_words = packed_words(self.row_bits)
         self._tail = tail_mask(self.row_bits)
@@ -404,79 +401,6 @@ class Bank:
 
     # -- retention reads ------------------------------------------------
 
-    def _retention_flips(self, visible_rows: Optional[np.ndarray] = None
-                         ) -> Tuple[np.ndarray, np.ndarray,
-                                    np.ndarray, np.ndarray]:
-        """One retention wait: flip events plus forced noise coords.
-
-        Returns ``(rows, sys_cols, noise_rows, noise_sys)``.  The first
-        pair are flip *events* (XOR semantics - an even number of
-        events on a cell cancels); the second pair are injected-noise
-        coordinates with forced-corruption (union) semantics.
-
-        With ``visible_rows`` the coupled-cell evaluation is restricted
-        to victims living in those rows.  Their outcome distribution is
-        identical to a full-bank evaluation (victims are independent),
-        but the RNG draw *count* differs, so this is only safe on a
-        freshly reseeded stream that is discarded or restored
-        afterwards (the re-vote path) - never on the sequential
-        single-pass stream.  The random-fault model still runs
-        bank-wide (it is stateful).
-        """
-        coupled = self.coupled
-        if visible_rows is not None:
-            coupled = coupled.subset(np.isin(coupled.row, visible_rows))
-        fail = coupled.evaluate_failures(self.charge_words, self._rng,
-                                         stress=self.stress)
-        f_rows, f_phys = self.faults.retention_flips(self.charge_words,
-                                                     stress=self.stress)
-        rows = coupled.row[fail]
-        phys = coupled.phys[fail]
-        rows = np.concatenate([rows, f_rows])
-        phys = np.concatenate([phys, f_phys])
-        sys_cols = self.mapping.phys_to_sys()[phys]
-        empty = np.empty(0, dtype=np.int64)
-        if self.noise is None:
-            return rows, sys_cols, empty, empty
-        n_rows, n_phys = self.noise.flips()
-        n_sys = (self.mapping.phys_to_sys()[n_phys] if len(n_phys)
-                 else empty)
-        return rows, sys_cols, n_rows, n_sys
-
-    def _observed_errors(self, visible_rows: Optional[np.ndarray] = None
-                         ) -> Tuple[np.ndarray, np.ndarray,
-                                    np.ndarray, np.ndarray]:
-        """One retention wait as the *observable* error coordinates.
-
-        Without an ECC stage - or with the *null code* attached, which
-        is the identity by construction - this is
-        :meth:`_retention_flips` verbatim (flip events with XOR
-        semantics plus separate forced-noise coords).  With a real
-        code the raw event/noise streams are routed through the
-        stage's :meth:`~repro.ecc.OnDieEcc.transform_read`, which
-        groups them into 64-bit words, derives each word's physical
-        error set, and returns the post-stage view.  In recovery mode
-        that transform is event-preserving for exactly-inverted words
-        (the streams pass through verbatim, duplicates and all), so a
-        fully recovered read is byte-identical to the ECC-off channel
-        for every downstream consumer - including multiplicity-
-        sensitive ones like the discovery fail-count histogram.
-        """
-        rows, sys_cols, n_rows, n_sys = self._retention_flips(
-            visible_rows)
-        if self.ecc is None or self.ecc.code is None:
-            return rows, sys_cols, n_rows, n_sys
-        empty = np.empty(0, dtype=np.int64)
-        s2p = self.mapping.sys_to_phys()
-        e_phys = s2p[sys_cols] if len(sys_cols) else empty
-        n_phys = s2p[n_sys] if len(n_sys) else empty
-        o_rows, o_phys, on_rows, on_phys = self.ecc.transform_read(
-            rows, e_phys, n_rows, n_phys, self.row_bits)
-        p2s = self.mapping.phys_to_sys()
-        o_sys = p2s[o_phys] if len(o_phys) else empty
-        on_sys = p2s[on_phys] if len(on_phys) else empty
-        return o_rows, o_sys, on_rows, on_sys
-
     def retention_failures(self, images: Optional["PatternImages"] = None,
                            reseed: Optional[Callable[[int], None]] = None):
         """Evaluate retention waits; return failing coordinates.
@@ -502,8 +426,8 @@ class Bank:
           - coupled, weak, soft-error, VRT, marginal, in that order -
           then its noise cells, duplicates kept.
         * **ECC.** With a real code each chunk of waits goes through
-          one :meth:`~repro.ecc.OnDieEcc.transform_read` call, each
-          wait's rows numbered ``wait * n_rows + row``.
+          one :meth:`~repro.ecc.OnDieEcc.transform_read` call
+          (:meth:`_events`).
 
         Stacked per-wait state is evaluated in chunks of at most
         :data:`CHUNK_CELLS` cells x waits.
@@ -518,38 +442,17 @@ class Bank:
         sel_rows, sel_phys, pos_rows, pos_phys, bounds = \
             self._positions(every)
         if images is None:
-            stored = gather_bits(self.charge_words, pos_rows,
-                                 pos_phys).astype(bool)
-            planes = lambda t0, t1: stored[None]  # noqa: E731
+            planes = self._charge_planes(pos_rows, pos_phys, None)
         else:
             planes = images.planes(pos_rows, pos_phys, self.mapping,
                                    self.anti_rows)
-        rb, n = self.row_bits, self.n_rows
-        lens = self.ecc is not None and self.ecc.code is not None
         parts = []
         n_coins = len(self.coupled)
         for t0, draws, failing in self._wait_chunks(
                 every, lambda t: self._rng.random(n_coins), planes, bounds,
                 n_tests, reseed):
-            k = len(draws)
-            hits = [(tt, r[kk], p[kk]) for (tt, kk), r, p in
-                    zip(map(np.nonzero, failing), sel_rows, sel_phys)]
-            events = hits[:2] + [(i, d[1] // rb, d[1] % rb)
-                                 for i, d in enumerate(draws)] + hits[2:]
-            noise = [(i, *d[4]) for i, d in enumerate(draws)]
-            if lens:
-                # Wait i's rows are numbered i * n + row.
-                events, noise = _by_test(events, k), _by_test(noise, k)
-                if k > 1:
-                    events = (events[0] * n + events[1], events[2])
-                    noise = (noise[0] * n + noise[1], noise[2])
-                else:
-                    events, noise = events[1:], noise[1:]
-                o_rows, o_phys, on_rows, on_phys = self.ecc.transform_read(
-                    *events, *noise, rb, n_rows=n)
-                events = [(o_rows // n, o_rows % n, o_phys)]
-                noise = [(on_rows // n, on_rows % n, on_phys)]
-            tests, rows, phys = _by_test(events + noise, k)
+            events, noise = self._events(draws, failing, sel_rows, sel_phys)
+            tests, rows, phys = _by_test(events + noise, len(draws))
             parts.append((tests + t0, rows, phys))
         tests, rows, phys = (parts[0] if len(parts) == 1 else
                              (np.concatenate(a) for a in zip(*parts)))
@@ -558,49 +461,22 @@ class Bank:
             return rows, sys_cols
         return tests, rows, sys_cols
 
-    def retention_read_rows(self, rows: np.ndarray,
-                            coupled_rows_only: bool = False
-                            ) -> np.ndarray:
-        """Retention read restricted to ``rows``; system-order data.
+    def retention_read_rows(self, rows: np.ndarray) -> np.ndarray:
+        """One retention wait, read back as system-order row data.
 
-        Used by the recursive test, which only ever inspects the rows
-        that host its victim cells. Random-fault injection still runs
-        bank-wide (the fault model is stateful) but only flips landing
-        in ``rows`` are visible, as in a real partial read.
-        ``coupled_rows_only`` restricts the coupled-cell evaluation to
-        ``rows`` as well (see :meth:`_retention_flips` for when that
-        is safe).
+        The stored data of ``rows`` with every cell the wait corrupts
+        inverted: :meth:`retention_check_cells` over every cell of the
+        rows.  The wait draws what any single read draws, bank-wide;
+        only the events landing in ``rows`` are visible, as in a real
+        partial read.
         """
         rows = np.asarray(rows)
-        f_rows, f_cols, n_rows_, n_cols = self._observed_errors(
-            visible_rows=rows if coupled_rows_only else None)
-        # Stay word-wise until the final unpack.  Flips and noise
-        # arrive in system columns; apply them at the corresponding
-        # physical bits, then unpack and descramble.
-        s2p = self.mapping.sys_to_phys()
-        words = self.charge_words[rows].copy()
-        anti = self.anti_rows[rows]
-        inv = np.where(anti, _ONES, np.uint64(0))
-        words ^= inv[:, None]
-        words[:, -1] &= self._tail
-        pos = np.full(self.n_rows, -1, dtype=np.int64)
-        pos[rows] = np.arange(len(rows), dtype=np.int64)
-        noise_idx = noise_phys = noise_written = None
-        if len(n_rows_):
-            ni = pos[n_rows_]
-            vis = ni >= 0
-            noise_idx = ni[vis]
-            noise_phys = s2p[n_cols[vis]]
-            noise_written = gather_bits(words, noise_idx, noise_phys)
-        if len(f_rows):
-            i = pos[f_rows]
-            visible = i >= 0
-            scatter_flip_bits(words, i[visible], s2p[f_cols[visible]])
-        if noise_idx is not None and len(noise_idx):
-            scatter_assign_bits(words, noise_idx, noise_phys,
-                                noise_written ^ np.uint8(1))
-        data_phys = unpack_rows(words, self.row_bits)
-        return data_phys[:, s2p]
+        rb, n = self.row_bits, len(rows)
+        data = (unpack_rows(self.charge_words[rows], rb)
+                ^ self.anti_rows[rows, None].astype(np.uint8))
+        corrupted = self._check_cells(rows, np.repeat(np.arange(n), rb),
+                                      np.tile(np.arange(rb), n))
+        return data[:, self.mapping.sys_to_phys()] ^ corrupted.reshape(n, rb)
 
     def retention_check_cells(self, rows: np.ndarray,
                               check_row_idx: np.ndarray,
@@ -639,7 +515,7 @@ class Bank:
           in rows the images do not cover read the stored state) and
           every wait's whole-bank events go through
           :meth:`~repro.ecc.OnDieEcc.transform_read` (one call per
-          chunk of waits, see :meth:`_ecc_check`).  Every image must
+          chunk of waits, see :meth:`_events`).  Every image must
           then write the same rows.
 
         Stacked per-wait state is evaluated in chunks of at most
@@ -652,9 +528,13 @@ class Bank:
             check_row_idx: per checked cell, index into one image's
                 rows.
             check_cols: per checked cell, system column.
-            coupled_rows_only: restrict each wait's coupled-cell
-                evaluation to the rows its image writes (see
-                :meth:`_retention_flips` for when that is safe).
+            coupled_rows_only: each wait draws coins only for the
+                coupled cells in the rows its image writes.  Victims
+                are independent, so the outcome distribution is a
+                full-bank wait's, but the draw count differs: safe
+                only on a freshly reseeded stream that is discarded or
+                restored afterwards (the re-vote path), never on the
+                sequential single-pass stream.
             images: the images the waits read back, or None for one
                 wait over the stored state.
             reseed: optional ``reseed(t)``, called before wait ``t``.
@@ -665,6 +545,16 @@ class Bank:
             where the read-back value differs from what was written
             (an odd number of flip events landed on the cell, or
             injected noise forced it).
+        """
+        return self._check_cells(rows, check_row_idx, check_cols,
+                                 coupled_rows_only, images, reseed)
+
+    def _check_cells(self, rows, check_row_idx, check_cols,
+                     coupled_rows_only=False, images=None, reseed=None):
+        """The body of :meth:`retention_check_cells`.
+
+        :meth:`retention_read_rows` calls it directly, so a traced run
+        records one read span per read.
         """
         if images is None:
             rows = np.asarray(rows)
@@ -680,7 +570,11 @@ class Bank:
         if lens and not written.all():
             raise ValueError("with an ECC code every image must write "
                              "the same rows")
-        targets, check_coord = np.unique(check_enc, return_inverse=True)
+        # Row reads and the recursion's victims come sorted and distinct.
+        if (check_enc[1:] > check_enc[:-1]).all():
+            targets, check_coord = check_enc, slice(None)
+        else:
+            targets, check_coord = np.unique(check_enc, return_inverse=True)
         keys = self._cell_keys()
         # The coupled cells each wait draws coins for: all of them, or
         # on a re-vote stream only those in the rows its image writes.
@@ -716,20 +610,12 @@ class Bank:
         sel_rows, sel_phys, pos_rows, pos_phys, bounds = \
             self._positions(sel)
         planes = self._charge_planes(pos_rows, pos_phys, images)
-        if not lens:
-            coords = [np.searchsorted(targets, k[s])
-                      for k, s in zip(keys, sel)]
-
         out = np.empty((n_tests, len(check_enc)), dtype=bool)
         for t0, draws, failing in self._wait_chunks(
                 sel, coins, planes, bounds, n_tests, reseed):
-            t1 = t0 + len(draws)
-            if lens:
-                out[t0:t1] = self._ecc_check(
-                    failing, sel_rows, sel_phys, draws, check_enc)
-            else:
-                out[t0:t1] = self._visible_check(
-                    failing, coords, draws, targets)[:, check_coord]
+            events, noise = self._events(draws, failing, sel_rows, sel_phys)
+            out[t0:t0 + len(draws)] = self._corrupted(
+                events, noise, targets, len(draws))[:, check_coord]
         return out if images is not None else out[0]
 
     def _positions(self, sel):
@@ -915,101 +801,66 @@ class Bank:
             noise = self.noise.flips()
         return coins, soft, leaky[vrt], coin[marginal], noise
 
-    def _ecc_check(self, failing, sel_rows, sel_phys, draws,
-                   check_enc: np.ndarray) -> np.ndarray:
-        """The waits' whole-bank events through the ECC stage, checked.
+    def _events(self, draws, failing, sel_rows, sel_phys):
+        """A chunk of waits' observable events, after the ECC stage.
 
         ``failing`` holds one ``(waits, cells)`` failure mask per
-        population (coupled, weak, VRT, marginal).  Every wait's flip
-        events and noise go through one
+        population (coupled, weak, VRT, marginal) of the selected
+        cells ``(sel_rows, sel_phys)``.  Returns ``(events, noise)``,
+        each a list of ``(tests, rows, phys)`` parts, ``tests`` a wait
+        index or an array of them: the flip events (XOR semantics), in
+        each wait in the order of a single read - coupled, weak,
+        soft-error, VRT, marginal - and the injected noise cells (union
+        semantics).  With a real code they go through one
         :meth:`~repro.ecc.OnDieEcc.transform_read` call, each wait's
         rows numbered ``wait * n_rows + row`` - the same as one call
         per wait (the stage's outputs are per word, its counters and
         ambiguous set sums and unions over words).
         """
         rb, n = self.row_bits, self.n_rows
-        rows, phys, noise_rows, noise_phys = [], [], [], []
-        for r, p, mask in zip(sel_rows, sel_phys, failing):
-            tt, kk = np.nonzero(mask)
-            rows.append(tt * n + r[kk])
-            phys.append(p[kk])
-        for i, d in enumerate(draws):
-            soft, (n_r, n_p) = d[1], d[4]
-            rows.append(i * n + soft // rb)
-            phys.append(soft % rb)
-            noise_rows.append(i * n + n_r)
-            noise_phys.append(n_p)
+        hits = [(tt, r[kk], p[kk]) for (tt, kk), r, p in
+                zip(map(np.nonzero, failing), sel_rows, sel_phys)]
+        events = hits[:2] + [(i, d[1] // rb, d[1] % rb)
+                             for i, d in enumerate(draws)] + hits[2:]
+        noise = [(i, *d[4]) for i, d in enumerate(draws)]
+        if self.ecc is None or self.ecc.code is None:
+            return events, noise
+
+        def fold(parts):
+            return (np.concatenate([t * n + r for t, r, _ in parts]),
+                    np.concatenate([p for _, _, p in parts]))
+
         o_rows, o_phys, on_rows, on_phys = self.ecc.transform_read(
-            np.concatenate(rows).astype(np.int64),
-            np.concatenate(phys).astype(np.int64),
-            np.concatenate(noise_rows).astype(np.int64),
-            np.concatenate(noise_phys).astype(np.int64), rb, n_rows=n)
-        p2s = self.mapping.phys_to_sys()
-        enc = (np.arange(len(draws), dtype=np.int64)[:, None] * (n * rb)
-               + check_enc).ravel()
-        return self._corrupted(o_rows, p2s[o_phys], on_rows, p2s[on_phys],
-                               enc, rb).reshape(len(draws), -1)
+            *fold(events), *fold(noise), rb, n_rows=n)
+        return ([(o_rows // n, o_rows % n, o_phys)],
+                [(on_rows // n, on_rows % n, on_phys)])
 
-    def _visible_check(self, failing, coords, draws,
-                       targets: np.ndarray) -> np.ndarray:
-        """Corruption of every checked coordinate, per wait.
+    def _corrupted(self, events, noise, targets: np.ndarray,
+                   n_waits: int) -> np.ndarray:
+        """Which of the sorted cell keys ``targets`` each wait corrupts.
 
-        ``failing`` holds one ``(waits, cells)`` failure mask per
-        selected population and ``coords`` each selected cell's index
-        into the sorted checked coordinates ``targets``.  Flip events
-        count modulo two (an even number cancels); soft errors land
-        wherever they are drawn; injected noise is ORed in last so it
-        can never cancel a flip.
+        ``events`` and ``noise`` are :meth:`_events` parts; a key is
+        ``row * row_bits + system column``.  Flip events count modulo
+        two (an even number cancels); injected noise is ORed in last
+        so it can never cancel a flip.  Returns bool ``(n_waits,
+        len(targets))``.
         """
-        rb = self.row_bits
+        rb, n_t = self.row_bits, len(targets)
         p2s = self.mapping.phys_to_sys()
-        n_coords = len(targets)
-        n_waits = len(draws)
-        events = []
-        for mask, coord in zip(failing, coords):
-            tt, kk = np.nonzero(mask)
-            events.append(tt * n_coords + coord[kk])
-        noise = []
-        for i, d in enumerate(draws):
-            soft, (n_rows, n_phys) = d[1], d[4]
-            for cells, into in (((soft // rb, soft % rb), events),
-                                ((n_rows, n_phys), noise)):
-                if len(cells[0]) and n_coords:
-                    key = cells[0] * rb + p2s[cells[1]]
-                    at = np.minimum(np.searchsorted(targets, key),
-                                    n_coords - 1)
-                    into.append(i * n_coords + at[targets[at] == key])
-        counts = np.bincount(np.concatenate(events),
-                             minlength=n_waits * n_coords)
+        at_events, at_noise = [_EMPTY], [_EMPTY]
+        for parts, into in ((events, at_events), (noise, at_noise)):
+            for tests, rows, phys in parts:
+                if len(rows) and n_t:
+                    key = rows * rb + p2s[phys]
+                    at = np.minimum(np.searchsorted(targets, key), n_t - 1)
+                    hit = targets[at] == key
+                    tests = np.broadcast_to(tests, hit.shape)[hit]
+                    into.append(tests * n_t + at[hit])
+        counts = np.bincount(np.concatenate(at_events),
+                             minlength=n_waits * n_t)
         corrupted = (counts & 1).astype(bool)
-        if noise:
-            corrupted[np.concatenate(noise)] = True
-        return corrupted.reshape(n_waits, n_coords)
-
-    @staticmethod
-    def _corrupted(f_rows: np.ndarray, f_cols: np.ndarray,
-                   n_rows: np.ndarray, n_cols: np.ndarray,
-                   check_enc: np.ndarray, row_bits: int) -> np.ndarray:
-        """Checked cells hit by an odd number of events, or by noise."""
-        corrupted = np.zeros(len(check_enc), dtype=bool)
-        if len(f_rows):
-            # Sort the (small) flip set, keep the coordinates hit an
-            # odd number of times, and membership-test the checked
-            # cells with a binary search - cheaper than unique + isin
-            # but the same set arithmetic.
-            enc = np.sort(f_rows.astype(np.int64) * row_bits + f_cols)
-            starts = np.flatnonzero(np.concatenate(
-                ([True], enc[1:] != enc[:-1])))
-            counts = np.diff(np.append(starts, len(enc)))
-            odd = enc[starts[counts % 2 == 1]]
-            corrupted = Bank._sorted_member(odd, check_enc)
-        if len(n_rows):
-            # Injected noise forces corruption - OR it in after the
-            # odd-count logic so it can never cancel a flip event.
-            noise_enc = np.sort(n_rows.astype(np.int64) * row_bits
-                                + n_cols)
-            corrupted |= Bank._sorted_member(noise_enc, check_enc)
-        return corrupted
+        corrupted[np.concatenate(at_noise)] = True
+        return corrupted.reshape(n_waits, n_t)
 
     @staticmethod
     def _sorted_member(sorted_vals: np.ndarray, queries: np.ndarray

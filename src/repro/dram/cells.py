@@ -158,12 +158,10 @@ class CoupledCellPopulation:
         if min_stress is None:
             min_stress = np.zeros(n, dtype=np.float64)
         self.min_stress = np.asarray(min_stress, dtype=np.float64)
-        # Slot columns (with the absent-slot masks) and per-word-count
-        # gather plans for the packed evaluation, built on first use -
-        # column remapping edits the neighbour arrays after
+        # Slot columns (with the absent-slot masks), built on first
+        # use - column remapping edits the neighbour arrays after
         # construction.
         self._slot_cols: Optional[np.ndarray] = None
-        self._packed_plans: dict = {}
 
     def __len__(self) -> int:
         return len(self.row)
@@ -323,28 +321,13 @@ class CoupledCellPopulation:
             self._ctx_present = self.context != NO_NEIGHBOUR
         return self._slot_cols
 
-    def _packed_plan(self, n_words: int):
-        """Flat word indices + shifts of every :meth:`slot_cols` cell.
-
-        One flat gather over the packed bank covers victim, both
-        aggressors, and all context cells.  The plan depends only on
-        the population coordinates and the bank's word count, so it is
-        built once and cached.
-        """
-        plan = self._packed_plans.get(n_words)
-        if plan is None:
-            cols = self.slot_cols()
-            plan = (self.row[:, None] * n_words + (cols >> 6),
-                    (cols & 63).astype(np.uint8))
-            self._packed_plans[n_words] = plan
-        return plan
-
     def exposure(self, charged: np.ndarray, coins: np.ndarray,
                  stress: float, cells=slice(None)) -> np.ndarray:
         """Which victims flip, given the charge of their slot cells.
 
-        The decision rule of :meth:`evaluate_failures`, over any
-        number of reads at once.
+        The decision rule of a retention read, over any number of
+        reads at once; its dense per-cell formulation is the test-side
+        oracle in ``tests/oracle.py``.
 
         Args:
             charged: bool charge of each :meth:`slot_cols` cell of the
@@ -369,45 +352,3 @@ class CoupledCellPopulation:
                   | (charged[..., 3:] == v[..., None])).all(axis=-1)
         return (candidate & ctx_ok & (self.min_stress[cells] <= stress)
                 & (coins < self.p_fail[cells]))
-
-    def evaluate_failures(self, charge_words: np.ndarray,
-                          rng: np.random.Generator,
-                          stress: float = 1.0) -> np.ndarray:
-        """Which victims flip on a retention read of the given bank state.
-
-        Reads the bank state bit-packed (see :mod:`repro._kernels`) with
-        a single flat gather over the cached :meth:`_packed_plan`.  The
-        per-cell formulation it must match bit for bit, RNG draw
-        included, is the test-side oracle in ``tests/oracle.py``.
-
-        Args:
-            charge_words: ``(n_rows, n_words)`` uint64 packed cell
-                *charge* states in physical order (1 = charged).
-            rng: randomness source for the per-exposure coin flips;
-                exactly one ``rng.random(len(self))`` draw per call.
-            stress: retention stress of the read (1.0 = the paper's
-                45 degC / 4 s test condition); victims whose
-                ``min_stress`` exceeds it hold enough charge to ride
-                out the interference.
-
-        Returns:
-            Boolean mask over the population: True where the victim's
-            stored value is corrupted by this read.
-        """
-        idx, shifts = self._packed_plan(charge_words.shape[1])
-        flat = charge_words.reshape(-1)
-        charged = ((flat[idx] >> shifts) & np.uint64(1)).astype(bool)
-        return self.exposure(charged, rng.random(len(self)), stress)
-
-    def subset(self, mask: np.ndarray) -> "CoupledCellPopulation":
-        """A view-free copy restricted to ``mask``."""
-        return CoupledCellPopulation(
-            row=self.row[mask], phys=self.phys[mask],
-            left_phys=self.left_phys[mask], right_phys=self.right_phys[mask],
-            w_left=self.w_left[mask], w_right=self.w_right[mask],
-            p_fail=self.p_fail[mask], context=self.context[mask],
-            remapped=self.remapped[mask], min_stress=self.min_stress[mask])
-
-    def context_k(self) -> np.ndarray:
-        """Per-victim number of required context cells (both sides)."""
-        return (self.context != NO_NEIGHBOUR).sum(axis=1)

@@ -175,24 +175,18 @@ class MemoryController:
         return observed
 
     def test_rows(self, bank: int, rows: np.ndarray,
-                  data_sys: np.ndarray,
-                  coupled_rows_only: bool = False) -> np.ndarray:
+                  data_sys: np.ndarray) -> np.ndarray:
         """One test over specific rows of one bank.
 
         Writes ``data_sys`` (2-D per-row, or 1-D broadcast) to ``rows``,
         waits one retention interval, and returns the observed data.
         Counts as one test regardless of how many rows run in parallel.
-        ``coupled_rows_only`` restricts the coupled-cell evaluation to
-        the tested rows (re-vote streams only; see
-        :meth:`~repro.dram.bank.Bank._retention_flips`).
         """
         rows = np.asarray(rows)
         b = self.chip.bank(bank)
         return self._run_test(
-            "rows", len(rows),
-            lambda: b.write_rows(rows, data_sys),
-            lambda _: b.retention_read_rows(
-                rows, coupled_rows_only=coupled_rows_only), bank=bank)
+            "rows", len(rows), lambda: b.write_rows(rows, data_sys),
+            lambda _: b.retention_read_rows(rows), bank=bank)
 
     def test_regions(self, bank: int, rows: np.ndarray,
                      victims: Tuple[np.ndarray, np.ndarray],
@@ -226,9 +220,9 @@ class MemoryController:
             size: region size in bits.
             coupled_rows_only: run every test as a re-vote: it involves
                 only the victims it covers - it writes and reads only
-                their rows, sets only their bits, and evaluates only
-                those rows' coupled cells (re-vote streams only; see
-                :meth:`~repro.dram.bank.Bank._retention_flips`).
+                their rows, sets only their bits, and draws coins only
+                for those rows' coupled cells (re-vote streams only; see
+                :meth:`~repro.dram.bank.Bank.retention_check_cells`).
                 Without it every test writes and reads all ``rows``.
             reseed: optional ``reseed(t)``, called just before region
                 test ``t`` draws (the re-vote seed ladder).
@@ -337,19 +331,16 @@ class MemoryController:
 
     def test_pattern(self, data_sys: np.ndarray
                      ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """One whole-chip test with a single row pattern.
+        """One whole-chip test with a single row pattern, or per-row ones.
 
-        Writes the pattern to every row of every bank, waits one
-        retention interval, and returns per-bank ``(rows, sys_cols)``
-        mismatch coordinates. This is the primitive both PARBOR's
-        neighbour-aware sweep and the random-pattern baseline use, so
-        their budgets are directly comparable.
+        Writes the pattern (1-D) to every row of every bank, or row
+        ``r``'s pattern of a 2-D ``(n_rows, row_bits)`` array to row
+        ``r``, waits one retention interval, and returns per-bank
+        ``(rows, sys_cols)`` mismatch coordinates. This is the
+        primitive both PARBOR's neighbour-aware sweep and the
+        random-pattern baseline use, so their budgets are directly
+        comparable.
         """
         data_sys = np.asarray(data_sys, dtype=np.uint8)
         return [(rows, cols) for _t, rows, cols
                 in self.test_patterns(data_sys[None])]
-
-    def test_pattern_per_row(self, data_sys_rows: np.ndarray
-                             ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """One whole-chip test with per-row patterns (2-D array)."""
-        return self.test_pattern(data_sys_rows)

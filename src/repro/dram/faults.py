@@ -7,10 +7,9 @@ charge across a refresh interval. These populations are what make the
 ranking/filtering stage non-trivial, and they produce the infrequent
 noise distances in Figures 14-15.
 
-All injectors act on a bank's bit-packed *charge* state at
-retention-read time and return flip coordinates; they are
-polarity-symmetric except where the underlying physics is not
-(VRT/marginal cells lose charge, so only charged cells fail).
+All injectors act on the cells' *charge* at retention-read time; they
+are polarity-symmetric except where the underlying physics is not
+(weak/VRT/marginal cells lose charge, so only charged cells fail).
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-
-from .._kernels import gather_bits
 
 __all__ = ["FaultSpec", "RandomFaultModel", "NoiseSpec",
            "DeviceNoiseModel", "ForcedFlipNoise"]
@@ -147,13 +144,14 @@ class RandomFaultModel:
                 (self.marginal_row, self.marginal_phys))
 
     def draw(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The charge-independent draws of one retention read.
+        """The draws of one retention read, all charge-independent.
 
-        Consumes the stream exactly as :meth:`retention_flips` does -
-        the soft-error Poisson count and positions, the VRT toggles
-        (applied to :attr:`vrt_leaky`), the marginal coins - and
-        returns ``(soft_flat, vrt_leaky, marginal_coin)``, where
-        ``soft_flat`` holds flat ``row * row_bits + phys`` cells.
+        Consumes the stream in a fixed order - the soft-error Poisson
+        count and positions, the VRT toggles (applied to
+        :attr:`vrt_leaky`), the marginal coins - and returns
+        ``(soft_flat, vrt_leaky, marginal_coin)``, where ``soft_flat``
+        holds flat ``row * row_bits + phys`` cells; :meth:`hits`
+        decides the rest from the cells' charge.
         Draw nothing for a disabled population: a zero-rate spec must
         consume zero RNG state per read so that chips with noise
         populations switched off share the coupled-cell coin stream
@@ -196,39 +194,6 @@ class RandomFaultModel:
                     & (self.marginal_threshold[m_sel] <= stress)
                     & charged[2])
         return weak, vrt, marginal
-
-    def retention_flips(self, charge_words: np.ndarray,
-                        stress: float = 1.0
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """Random flips for one retention read of the whole bank.
-
-        Every RNG draw is charge-independent (counts depend only on
-        population sizes and the Poisson draw), so the bank stream
-        advances the same way whatever data the bank holds.
-
-        Args:
-            charge_words: ``(n_rows, n_words)`` bit-packed physical-order
-                charge state (see :mod:`repro._kernels`).
-            stress: retention stress of the read (temperature and
-                interval, 1.0 = the test condition); gates the weak
-                cell population.
-
-        Returns:
-            ``(rows, cols)`` coordinate arrays of cells whose read-out
-            is corrupted: weak, soft-error, VRT and marginal flips, in
-            that order.
-        """
-        soft, leaky, coin = self.draw()
-        cells = self.cells()
-        charged = [gather_bits(charge_words, r, p) == 1 for r, p in cells]
-        masks = self.hits(stress, charged, leaky, coin)
-        (w_row, w_phys), (v_row, v_phys), (m_row, m_phys) = cells
-        rows = (w_row[masks[0]], soft // self.row_bits,
-                v_row[masks[1]], m_row[masks[2]])
-        cols = (w_phys[masks[0]], soft % self.row_bits,
-                v_phys[masks[1]], m_phys[masks[2]])
-        return (np.concatenate(rows).astype(np.int64),
-                np.concatenate(cols).astype(np.int64))
 
 
 @dataclass(frozen=True)

@@ -425,21 +425,6 @@ class AddressMapping:
 
     # -- neighbour structure ----------------------------------------------
 
-    def physical_neighbours_of_sys(self, s: int) -> Tuple[Optional[int],
-                                                          Optional[int]]:
-        """System addresses of the two physical neighbours of bit ``s``.
-
-        Returns ``(left, right)``; either is ``None`` at a tile edge.
-        """
-        if not 0 <= s < self.row_bits:
-            raise ValueError(f"system address {s} out of range")
-        p = int(self._sys_to_phys[s])
-        in_tile = p % self.tile_bits
-        left = None if in_tile == 0 else int(self._phys_to_sys[p - 1])
-        right = (None if in_tile == self.tile_bits - 1
-                 else int(self._phys_to_sys[p + 1]))
-        return left, right
-
     def neighbour_distance_set(self, order: int = 1) -> List[int]:
         """All signed system-address distances of physical neighbours.
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro._kernels import pack_rows
 from repro.dram import (NO_NEIGHBOUR, CoupledCellPopulation, CouplingSpec,
                         vendor)
 from repro.dram.cells import MAX_CONTEXT
@@ -27,6 +26,12 @@ def manual_pop(w_left, w_right, p_fail=1.0, context=None):
         left_phys=np.array([4]), right_phys=np.array([6]),
         w_left=np.array([w_left]), w_right=np.array([w_right]),
         p_fail=np.array([p_fail]), context=ctx)
+
+
+def flips(pop, charge, rng, stress=1.0):
+    """One read's decision rule on a dense physical-order charge state."""
+    charged = charge[pop.row[:, None], pop.slot_cols()] == 1
+    return pop.exposure(charged, rng.random(len(pop)), stress)
 
 
 def charge_grid(row_bits=16):
@@ -120,15 +125,14 @@ class TestFailureRules:
         rng = np.random.default_rng(0)
         for value in (0, 1):
             charge = np.full((1, 16), value, dtype=np.uint8)
-            assert not pop.evaluate_failures(pack_rows(charge), rng).any()
+            assert not flips(pop, charge, rng).any()
 
     def test_strong_left_fails_with_left_opposite(self):
         pop = manual_pop(w_left=1.2, w_right=0.1)
         charge = charge_grid()
         charge[0, 5] = 1   # victim charged
         charge[0, 6] = 1   # right same -> only left differs
-        fails = pop.evaluate_failures(pack_rows(charge),
-                                      np.random.default_rng(0))
+        fails = flips(pop, charge, np.random.default_rng(0))
         assert fails.all()
 
     def test_strong_left_ignores_right_neighbour(self):
@@ -136,16 +140,14 @@ class TestFailureRules:
         charge = charge_grid()
         charge[0, 5] = 1
         charge[0, 4] = 1   # left same -> no dominant interference
-        fails = pop.evaluate_failures(pack_rows(charge),
-                                      np.random.default_rng(0))
+        fails = flips(pop, charge, np.random.default_rng(0))
         assert not fails.any()
 
     def test_discharged_victim_never_fails(self):
         pop = manual_pop(w_left=1.2, w_right=1.2)
         charge = np.ones((1, 16), dtype=np.uint8)
         charge[0, 5] = 0   # victim discharged among charged cells
-        fails = pop.evaluate_failures(pack_rows(charge),
-                                      np.random.default_rng(0))
+        fails = flips(pop, charge, np.random.default_rng(0))
         assert not fails.any()
 
     def test_weak_needs_both_neighbours(self):
@@ -153,11 +155,9 @@ class TestFailureRules:
         charge = charge_grid()
         charge[0, 5] = 1
         charge[0, 4] = 1   # only right opposite
-        assert not pop.evaluate_failures(
-            pack_rows(charge), np.random.default_rng(0)).any()
+        assert not flips(pop, charge, np.random.default_rng(0)).any()
         charge[0, 4] = 0   # both opposite
-        assert pop.evaluate_failures(
-            pack_rows(charge), np.random.default_rng(0)).all()
+        assert flips(pop, charge, np.random.default_rng(0)).all()
 
     def test_context_veto(self):
         pop = manual_pop(w_left=0.6, w_right=0.6, context=[3, 8])
@@ -165,25 +165,13 @@ class TestFailureRules:
         charge[0, 5] = 1            # victim charged, aggressors 0
         charge[0, 3] = 1            # context holds victim value
         charge[0, 8] = 1
-        assert pop.evaluate_failures(
-            pack_rows(charge), np.random.default_rng(0)).all()
+        assert flips(pop, charge, np.random.default_rng(0)).all()
         charge[0, 8] = 0            # one context cell shields
-        assert not pop.evaluate_failures(
-            pack_rows(charge), np.random.default_rng(0)).any()
+        assert not flips(pop, charge, np.random.default_rng(0)).any()
 
     def test_p_fail_zero_never_fails(self):
         pop = manual_pop(w_left=1.5, w_right=1.5, p_fail=0.0)
         charge = charge_grid()
         charge[0, 5] = 1
-        assert not pop.evaluate_failures(
-            pack_rows(charge), np.random.default_rng(0)).any()
+        assert not flips(pop, charge, np.random.default_rng(0)).any()
 
-    def test_subset_preserves_fields(self):
-        pop = make_pop(100)
-        sub = pop.subset(pop.strong_mask)
-        assert len(sub) == int(pop.strong_mask.sum())
-        assert sub.strong_mask.all()
-
-    def test_context_k_counts_present_cells(self):
-        pop = manual_pop(w_left=0.6, w_right=0.6, context=[3, 8])
-        assert pop.context_k()[0] == 2

@@ -15,13 +15,13 @@ class TestPerRowPatterns:
     def test_per_row_pattern_roundtrip(self, ctrl):
         rng = np.random.default_rng(1)
         data = rng.integers(0, 2, size=(16, 8192), dtype=np.uint8)
-        ctrl.test_pattern_per_row(data)
+        ctrl.test_pattern(data)
         for row in (0, 7, 15):
             assert np.array_equal(ctrl.read_row(0, row), data[row])
 
     def test_per_row_counts_one_test(self, ctrl):
         data = np.zeros((16, 8192), dtype=np.uint8)
-        ctrl.test_pattern_per_row(data)
+        ctrl.test_pattern(data)
         assert ctrl.stats.tests == 1
         assert ctrl.stats.retention_waits == 1
 

@@ -128,23 +128,22 @@ class TestAddressMapping:
     @given(st.integers(min_value=0, max_value=8191))
     @settings(max_examples=50, deadline=None)
     def test_neighbours_are_physically_adjacent(self, s):
+        """Bit ``s``'s in-tile physical neighbours are at set distances."""
         mapping = vendor("A").mapping(8192)
-        left, right = mapping.physical_neighbours_of_sys(s)
+        dists = set(mapping.neighbour_distance_set())
         p = int(mapping.sys_to_phys()[s])
-        if left is not None:
-            assert int(mapping.sys_to_phys()[left]) == p - 1
-        if right is not None:
-            assert int(mapping.sys_to_phys()[right]) == p + 1
+        tile = p // mapping.tile_bits
+        for q in (p - 1, p + 1):
+            if 0 <= q < 8192 and q // mapping.tile_bits == tile:
+                assert int(mapping.phys_to_sys()[q]) - s in dists
 
     def test_tile_edges_have_one_neighbour(self):
-        mapping = vendor("B").mapping(8192)
-        first_sys = int(mapping.phys_to_sys()[0])
-        left, right = mapping.physical_neighbours_of_sys(first_sys)
-        assert left is None and right is not None
-
-    def test_out_of_range_address_rejected(self):
-        with pytest.raises(ValueError):
-            vendor("A").mapping(8192).physical_neighbours_of_sys(8192)
+        """Cells across a tile edge are not neighbours: the physical
+        pair (3, 4) sits at system distance 4, which is not counted."""
+        mapping = AddressMapping(row_bits=8, block_bits=8,
+                                 block_path=(0, 1, 2, 3, 7, 6, 5, 4),
+                                 tile_bits=4)
+        assert mapping.neighbour_distance_set() == [-1, 1]
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=30, deadline=None)

@@ -9,11 +9,12 @@ ladder - independent of scheduling, worker count, and call sites.
 import numpy as np
 import pytest
 
-from repro._kernels import pack_rows
 from repro.dram import FaultSpec, RandomFaultModel
 from repro.dram.faults import DeviceNoiseModel, NoiseSpec
 from repro.runtime import CampaignSpec, chip_seed, run_fleet
 from repro.runtime.chaos import device_noise_schedule
+
+from tests import oracle
 
 
 def fault_model(seed, **kwargs):
@@ -23,10 +24,10 @@ def fault_model(seed, **kwargs):
 
 
 def flip_stream(model, reads=20):
-    charge = pack_rows(np.ones((32, 256), dtype=np.uint8))
+    charge = np.ones((32, 256), dtype=np.uint8)
     stream = []
     for _ in range(reads):
-        rows, cols = model.retention_flips(charge)
+        rows, cols = oracle.fault_flips(model, charge)
         stream.append((tuple(rows.tolist()), tuple(cols.tolist())))
     return stream
 

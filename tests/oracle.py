@@ -13,7 +13,11 @@ from.  It is a test fake, never a production option:
 * **decay** - :func:`evaluate_failures` decides every coupled victim
   from dense gathers of its victim, aggressor and context cells, with
   the same single ``rng.random(len(pop))`` draw as the packed
-  evaluator;
+  evaluator, and :func:`fault_flips` the weak, soft-error, VRT and
+  marginal cells from the fault model's draws;
+  :func:`retention_events` composes them with the injected noise and
+  the ECC stage into one read's observable events - the oracle's own
+  event source, independent of the bank's read kernels;
 * **read** - :func:`retention_read_rows` and
   :func:`retention_check_cells` apply each retention flip event to the
   dense read-back one by one (XOR semantics) and then force injected
@@ -39,7 +43,6 @@ from.  It is a test fake, never a production option:
   per round, cells as coordinate tuples in sets and dicts.
 
 :func:`oracle_substrate` patches these onto :class:`~repro.dram.Bank`,
-:class:`~repro.dram.CoupledCellPopulation`,
 :class:`~repro.dram.controller.MemoryController` and
 :mod:`repro.robust.vote`, so a whole campaign can run on the
 oracle::
@@ -81,7 +84,7 @@ from repro.core.recursion import CORROBORATION_FLOOR, _RowGroup
 from repro.dram.bank import Bank
 from repro.dram.cells import NO_NEIGHBOUR, CoupledCellPopulation
 from repro.dram.controller import MemoryController
-from repro.dram.faults import ForcedFlipNoise
+from repro.dram.faults import ForcedFlipNoise, RandomFaultModel
 from repro.ecc.beer import (COPIES, EccInferenceReport, InferredEcc,
                             beer_backgrounds)
 from repro.ecc.ondie import OnDieEcc
@@ -96,7 +99,8 @@ from repro.runtime.seeds import ladder_seed
 Coord = Tuple[int, int, int, int]  # (chip, bank, row, sys_col)
 
 __all__ = ["write_rows", "write_rows_patched", "evaluate_failures",
-           "retention_read_rows", "retention_check_cells",
+           "fault_flips", "retention_events", "retention_read_rows",
+           "retention_check_cells",
            "test_rows_patched", "test_regions", "revote_uncorroborated",
            "level_tally", "retention_failures",
            "test_patterns", "robust_sweep", "oracle_substrate",
@@ -152,23 +156,26 @@ def write_rows_patched(bank: Bank, rows: np.ndarray, base: int,
 
 
 def evaluate_failures(pop: CoupledCellPopulation, charge: np.ndarray,
-                      rng: np.random.Generator,
-                      stress: float = 1.0) -> np.ndarray:
+                      rng: np.random.Generator, stress: float = 1.0,
+                      cells: Optional[np.ndarray] = None) -> np.ndarray:
     """Which victims flip on a retention read of the given bank state.
 
     Args:
         pop: the coupled-cell population.
         charge: 2-D uint8 array ``(n_rows, row_bits)`` of cell
             *charge* states in physical order (1 = charged).
-        rng: randomness source for the per-exposure coin flips.
+        rng: randomness source for the per-exposure coin flips, one
+            ``rng.random`` coin per evaluated victim.
         stress: retention stress of the read (1.0 = the paper's
             45 degC / 4 s test condition); victims whose
             ``min_stress`` exceeds it hold enough charge to ride
             out the interference.
+        cells: optional bool mask of the victims to evaluate (the
+            re-vote streams' ``coupled_rows_only``); default all.
 
     Returns:
-        Boolean mask over the population: True where the victim's
-        stored value is corrupted by this read.
+        Boolean mask over the evaluated victims: True where the
+        victim's stored value is corrupted by this read.
     """
     v = charge[pop.row, pop.phys]
     left_ok = pop.left_phys != NO_NEIGHBOUR
@@ -197,22 +204,76 @@ def evaluate_failures(pop: CoupledCellPopulation, charge: np.ndarray,
                          == v[present])
         ctx_ok &= same
 
-    exposed = (candidate & ctx_ok & (pop.min_stress <= stress)
-               & (rng.random(len(pop)) < pop.p_fail))
-    return exposed
+    live = candidate & ctx_ok & (pop.min_stress <= stress)
+    if cells is None:
+        cells = np.ones(len(pop), dtype=bool)
+    return live[cells] & (rng.random(int(cells.sum())) < pop.p_fail[cells])
 
 
-def _evaluate_packed_state(pop: CoupledCellPopulation,
-                           charge_words: np.ndarray,
-                           rng: np.random.Generator,
-                           stress: float = 1.0) -> np.ndarray:
-    """:func:`evaluate_failures` behind the production signature.
+def fault_flips(model: RandomFaultModel, charge: np.ndarray,
+                stress: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
+    """Random-fault flips of one retention read of the whole bank.
 
-    Unpacks the whole word width; the tail bits past ``row_bits`` are
-    zero and no victim reads them.
+    The draws are :meth:`RandomFaultModel.draw`'s; a weak cell fails
+    while charged once the stress reaches its threshold, a VRT cell
+    while charged, leaky and past its threshold, a marginal cell while
+    charged and past its threshold when its coin falls under
+    ``marginal_fail_prob``.  ``charge`` is the dense physical-order
+    state; returns ``(rows, cols)`` of the weak, soft-error, VRT and
+    marginal flips, in that order.
     """
-    charge = unpack_rows(charge_words, charge_words.shape[1] * WORD_BITS)
-    return evaluate_failures(pop, charge, rng, stress=stress)
+    soft, leaky, coin = model.draw()
+    (w_row, w_phys), (v_row, v_phys), (m_row, m_phys) = model.cells()
+    weak = ((model.weak_threshold <= stress)
+            & (charge[w_row, w_phys] == 1))
+    vrt = (leaky & (model.vrt_threshold <= stress)
+           & (charge[v_row, v_phys] == 1))
+    marginal = ((coin < model.spec.marginal_fail_prob)
+                & (model.marginal_threshold <= stress)
+                & (charge[m_row, m_phys] == 1))
+    rows = (w_row[weak], soft // model.row_bits, v_row[vrt],
+            m_row[marginal])
+    cols = (w_phys[weak], soft % model.row_bits, v_phys[vrt],
+            m_phys[marginal])
+    return (np.concatenate(rows).astype(np.int64),
+            np.concatenate(cols).astype(np.int64))
+
+
+def retention_events(bank: Bank, visible_rows: Optional[np.ndarray] = None
+                     ) -> Tuple[np.ndarray, np.ndarray,
+                                np.ndarray, np.ndarray]:
+    """One retention wait as observable ``(rows, sys_cols)`` pairs.
+
+    Returns ``(rows, sys_cols, noise_rows, noise_sys)``: the flip
+    events (XOR semantics - coupled, then :func:`fault_flips`) and the
+    injected-noise cells (union semantics), after the bank's on-die
+    ECC stage when it has a real code.  Draws in the order of a single
+    read: the coupled coins, the fault model, the noise coins.  With
+    ``visible_rows`` only the coupled cells in those rows draw coins
+    (a re-vote stream's read).
+    """
+    pop = bank.coupled
+    # The whole word width: a victim nudged off a one-bit tile reads
+    # a zero tail bit.
+    charge = unpack_rows(bank.charge_words,
+                         bank.charge_words.shape[1] * WORD_BITS)
+    cells = None if visible_rows is None else np.isin(pop.row,
+                                                      visible_rows)
+    fail = evaluate_failures(pop, charge, bank._rng, stress=bank.stress,
+                             cells=cells)
+    if cells is not None:
+        fail = np.flatnonzero(cells)[fail]
+    f_rows, f_phys = fault_flips(bank.faults, charge, stress=bank.stress)
+    rows = np.concatenate([pop.row[fail], f_rows])
+    phys = np.concatenate([pop.phys[fail], f_phys])
+    empty = np.empty(0, dtype=np.int64)
+    n_rows, n_phys = (empty, empty) if bank.noise is None \
+        else bank.noise.flips()
+    if bank.ecc is not None and bank.ecc.code is not None:
+        rows, phys, n_rows, n_phys = bank.ecc.transform_read(
+            rows, phys, n_rows, n_phys, bank.row_bits)
+    p2s = bank.mapping.phys_to_sys()
+    return rows, p2s[phys], n_rows, p2s[n_phys]
 
 
 # -- read -----------------------------------------------------------------
@@ -227,8 +288,8 @@ def _read_back(bank: Bank, rows: np.ndarray, coupled_rows_only: bool
     injected noise then forces its cells to the opposite of the
     written value, whatever the flips did.
     """
-    f_rows, f_cols, n_rows, n_cols = bank._observed_errors(
-        visible_rows=rows if coupled_rows_only else None)
+    f_rows, f_cols, n_rows, n_cols = retention_events(
+        bank, visible_rows=rows if coupled_rows_only else None)
     data_phys = bank.charge[rows] ^ bank.anti_rows[
         rows, None].astype(np.uint8)
     written = data_phys[:, bank.mapping.sys_to_phys()]
@@ -245,11 +306,10 @@ def _read_back(bank: Bank, rows: np.ndarray, coupled_rows_only: bool
     return written, observed
 
 
-def retention_read_rows(bank: Bank, rows: np.ndarray,
-                        coupled_rows_only: bool = False) -> np.ndarray:
+def retention_read_rows(bank: Bank, rows: np.ndarray) -> np.ndarray:
     """Dense image of :meth:`Bank.retention_read_rows`."""
     rows = np.asarray(rows)
-    return _read_back(bank, rows, coupled_rows_only)[1]
+    return _read_back(bank, rows, False)[1]
 
 
 def retention_check_cells(bank: Bank, rows: np.ndarray,
@@ -567,12 +627,12 @@ def level_tally(sub_abs: np.ndarray, covered: np.ndarray,
 def retention_failures(bank: Bank) -> Tuple[np.ndarray, np.ndarray]:
     """One retention wait of the whole bank, as single reads made it.
 
-    The flip events of :meth:`Bank._observed_errors` (after the ECC
-    stage, if any) followed by the injected-noise cells, duplicates
-    kept - the composition the batched
-    :meth:`Bank.retention_failures` replaced.
+    The flip events of :func:`retention_events` (after the ECC stage,
+    if any) followed by the injected-noise cells, duplicates kept -
+    the composition the batched :meth:`Bank.retention_failures`
+    replaced.
     """
-    rows, sys_cols, n_rows, n_sys = bank._observed_errors()
+    rows, sys_cols, n_rows, n_sys = retention_events(bank)
     if len(n_rows):
         rows = np.concatenate([rows, n_rows])
         sys_cols = np.concatenate([sys_cols, n_sys])
@@ -804,7 +864,6 @@ _PATCHES = (
     (Bank, "retention_failures", retention_failures),
     (Bank, "retention_read_rows", retention_read_rows),
     (Bank, "retention_check_cells", retention_check_cells),
-    (CoupledCellPopulation, "evaluate_failures", _evaluate_packed_state),
     (MemoryController, "test_regions", test_regions),
     (MemoryController, "test_patterns", test_patterns),
     (repro.robust.vote, "robust_sweep", robust_sweep),
@@ -816,9 +875,9 @@ _PATCHES = (
 def oracle_substrate() -> Iterator[None]:
     """Run the substrate on the oracle for the duration of the block.
 
-    Every bank write, coupled-cell decay and retention read - including
-    the ones :meth:`Bank.write_all` and :meth:`Bank.retention_read_all`
-    make - goes through the dense formulations above, whole-chip and
+    Every bank write and retention read - including the ones
+    :meth:`Bank.write_all` and :meth:`Bank.retention_read_all` make -
+    goes through the dense formulations above, whole-chip and
     region tests and the recursion's re-votes run test by test, and
     the robust sweep keeps its set-based vote ledger.  In-process
     only: worker processes started inside the block do not inherit

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from repro import ParborConfig, run_parbor
-from repro._kernels import pack_rows
 from repro.dram import FaultSpec, vendor
 from repro.dram.faults import NoiseSpec, RandomFaultModel
 from repro.robust import RoundsPolicy
 from repro.runtime import CampaignSpec
 from repro.runtime.chaos import device_noise_schedule
-from tests.oracle import injected_cells
+from tests.oracle import fault_flips, injected_cells
 
 TINY = dict(seed=5, n_rows=48)
 
@@ -94,9 +93,9 @@ class TestRngConsumption:
         model = RandomFaultModel(spec, n_rows=16, row_bits=64, rng=rng)
         witness = np.random.default_rng(42)
         RandomFaultModel(spec, n_rows=16, row_bits=64, rng=witness)
-        charge = pack_rows(np.ones((16, 64), dtype=np.uint8))
+        charge = np.ones((16, 64), dtype=np.uint8)
         for _ in range(5):
-            rows, cols = model.retention_flips(charge)
+            rows, cols = fault_flips(model, charge)
             assert len(rows) == 0 and len(cols) == 0
         # The model's stream advanced exactly as far as the witness
         # that never evaluated a read: disabled populations are free.
@@ -108,7 +107,7 @@ class TestRngConsumption:
         model = RandomFaultModel(spec, n_rows=16, row_bits=64, rng=rng)
         witness = np.random.default_rng(42)
         RandomFaultModel(spec, n_rows=16, row_bits=64, rng=witness)
-        model.retention_flips(pack_rows(np.ones((16, 64), dtype=np.uint8)))
+        fault_flips(model, np.ones((16, 64), dtype=np.uint8))
         assert rng.random() != witness.random()
 
 

@@ -21,10 +21,13 @@ from repro.core import ParborConfig, run_parbor
 from repro.core.patterns import (checkerboard, discovery_patterns,
                                  random_pattern, solid, with_inverses)
 from repro.core.scheduler import _build_schedule, build_schedule
-from repro.dram import Bank, CoupledCellPopulation, vendor
+from repro.dram import Bank, vendor
+from repro.dram.controller import MemoryController
 from repro.robust.integrity import profile_signature
 
 from tests import oracle
+from tests.runtime.test_sweep_kernel import (N_ROWS, _assert_same, _attach,
+                                             _chips, _state)
 
 
 def _chip(vendor_name="A", seed=5, n_rows=32):
@@ -90,22 +93,39 @@ def test_write_rows_patched_matches_dense_write(seed, base, span_size):
 # -- retention verification ----------------------------------------------
 
 
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-@settings(max_examples=8, deadline=None)
-def test_retention_read_rows_matches_reference(seed):
-    """Same seeded fault draws -> same observed data, both paths."""
+def _read_rows(geometry, ecc, noise, seed):
+    """Three retention reads of random rows, then every bank's state."""
+    (chip,) = _chips(geometry, seed, 1, 1)
+    _attach([chip], ecc, noise, seed)
+    bank = chip.banks[0]
     rng = np.random.default_rng(seed)
-    rows = np.unique(rng.integers(0, 32, size=10))
-    data = rng.integers(0, 2, size=8192, dtype=np.uint8)
+    bank.write_rows(np.arange(N_ROWS), rng.integers(
+        0, 2, size=(N_ROWS, bank.row_bits), dtype=np.uint8))
+    out = []
+    for _ in range(3):
+        rows = np.unique(rng.integers(0, N_ROWS, size=5))
+        bank.write_rows(rows, rng.integers(0, 2, size=bank.row_bits,
+                                           dtype=np.uint8))
+        out.append(bank.retention_read_rows(rows))
+    out.append(bank.retention_read_all())
+    return out + _state([MemoryController(chip)])
 
-    ref = _bank("B", seed=int(seed) % 89)
-    fast = _bank("B", seed=int(seed) % 89)
+
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from(["B", "64", "128", "200"]),
+       st.sampled_from([None, "lens", "recover", "wrong"]),
+       st.sampled_from([None, "device", "forced"]))
+@settings(max_examples=40, deadline=None)
+def test_retention_read_rows_matches_reference(seed, geometry, ecc, noise):
+    """Same seeded draws -> same observed data and bank state, both
+    paths: the data, the bank stream, ``vrt_leaky``, the ECC counters
+    and ambiguous set, and the noise clock and coins."""
+    if geometry == "200":
+        ecc = None
+    got = _read_rows(geometry, ecc, noise, seed)
     with oracle.oracle_substrate():
-        ref.write_rows(rows, data)
-        ref_read = ref.retention_read_rows(rows)
-    fast.write_rows(rows, data)
-    fast_read = fast.retention_read_rows(rows)
-    assert np.array_equal(ref_read, fast_read)
+        want = _read_rows(geometry, ecc, noise, seed)
+    _assert_same(got, want)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -178,12 +198,13 @@ def test_memoized_battery_matches_reference():
 
 def test_oracle_substrate_patches_and_restores():
     engine = (Bank.write_rows, Bank.retention_check_cells,
-              CoupledCellPopulation.evaluate_failures)
+              Bank.retention_read_rows)
     with oracle.oracle_substrate():
         assert Bank.write_rows is oracle.write_rows
         assert Bank.retention_check_cells is oracle.retention_check_cells
+        assert Bank.retention_read_rows is oracle.retention_read_rows
     assert (Bank.write_rows, Bank.retention_check_cells,
-            CoupledCellPopulation.evaluate_failures) == engine
+            Bank.retention_read_rows) == engine
 
 
 def _assert_campaigns_identical(ref, fast):

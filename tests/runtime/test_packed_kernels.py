@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._kernels import (WORD_BITS, diff_coords, gather_bits, pack_rows,
-                            packed_words, popcount, scatter_assign_bits,
-                            scatter_flip_bits, scatter_span_masks,
-                            tail_mask, unpack_rows)
+from repro._kernels import (WORD_BITS, gather_bits, pack_rows, packed_words,
+                            popcount, scatter_assign_bits,
+                            scatter_span_masks, tail_mask, unpack_rows)
 from repro.dram import (CoupledCellPopulation, CouplingSpec, DramChip,
                         FaultSpec, vendor)
 from repro.dram.faults import ForcedFlipNoise
@@ -87,31 +86,11 @@ def test_gather_scatter_match_dense(seed, n_bits):
     assert np.array_equal(gather_bits(words, rows, cols),
                           dense[rows, cols])
 
-    # Flip: every event toggles; duplicates toggle repeatedly.
-    np.bitwise_xor.at(dense, (rows, cols), np.uint8(1))
-    scatter_flip_bits(words, rows, cols)
-    assert np.array_equal(unpack_rows(words, n_bits), dense)
-
     # Assign: numpy fancy-assignment semantics (last duplicate wins).
     values = _bits(rng, k)
     dense[rows, cols] = values
     scatter_assign_bits(words, rows, cols, values)
     assert np.array_equal(unpack_rows(words, n_bits), dense)
-
-
-@given(st.integers(min_value=0, max_value=2**31 - 1),
-       st.sampled_from(SIZES))
-@settings(max_examples=25, deadline=None)
-def test_diff_coords_matches_dense_compare(seed, n_bits):
-    rng = np.random.default_rng(seed)
-    a = _bits(rng, (5, n_bits))
-    b = a.copy()
-    k = int(rng.integers(0, 25))
-    b[rng.integers(0, 5, size=k), rng.integers(0, n_bits, size=k)] ^= 1
-    rows, cols = diff_coords(pack_rows(a), pack_rows(b), n_bits)
-    exp_rows, exp_cols = np.nonzero(a != b)
-    assert np.array_equal(rows, exp_rows)
-    assert np.array_equal(cols, exp_cols)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -204,7 +183,7 @@ def _cycle(bank, seed):
     check_idx = rng.integers(0, len(sub), size=k)
     check_cols = rng.integers(0, row_bits, size=k)
     out.append(bank.retention_check_cells(sub, check_idx, check_cols))
-    out.append(bank.retention_read_rows(sub, coupled_rows_only=True))
+    out.append(bank.retention_read_rows(sub))
     return out
 
 
@@ -258,18 +237,21 @@ def test_evaluators_match_reference_across_vendors(vendor_name):
        st.sampled_from([100, 200]))
 @settings(max_examples=10, deadline=None)
 def test_population_packed_evaluation_matches_dense(seed, row_bits):
-    """evaluate_failures(packed) == the oracle's dense evaluation."""
+    """exposure over packed slot gathers == the dense evaluation."""
     rng = np.random.default_rng(seed)
     pop = CoupledCellPopulation.generate(
         CouplingSpec(n_cells=400), n_rows=20, row_bits=row_bits,
         tile_bits=100, rng=rng)
     charge = _bits(rng, (20, row_bits))
+    slots = pop.slot_cols()
+    charged = gather_bits(pack_rows(charge),
+                          np.repeat(pop.row, slots.shape[1]),
+                          slots.ravel()).reshape(slots.shape) == 1
     ref_rng = np.random.default_rng(13)
     fast_rng = np.random.default_rng(13)
     for stress in (1.0, 0.5):
         ref = oracle.evaluate_failures(pop, charge, ref_rng, stress=stress)
-        packed = pop.evaluate_failures(pack_rows(charge), fast_rng,
-                                       stress=stress)
+        packed = pop.exposure(charged, fast_rng.random(len(pop)), stress)
         assert np.array_equal(ref, packed)
     assert ref_rng.random() == fast_rng.random()
 
