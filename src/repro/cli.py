@@ -41,12 +41,15 @@ from .sim import DEFAULT_CONFIG_16G, DEFAULT_CONFIG_32G
 __all__ = ["main", "build_parser"]
 
 
-def _jobs_arg(value: str) -> int:
-    jobs = int(value)
-    if jobs < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be non-negative, got {jobs}")
-    return jobs
+def _int_arg(low: int):
+    """An argparse ``type``: an integer of at least ``low``."""
+    def integer(value: str) -> int:
+        number = int(value)
+        if number < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {number}")
+        return number
+    return integer
 
 
 def _dump_json(path: Optional[str], payload: Dict[str, Any]) -> None:
@@ -102,6 +105,8 @@ def _run_fleet_observed(specs, args):
     :func:`run_fleet` in every mode.
     """
     from .runtime import run_fleet
+    if args.quarantine_out and args.rounds <= 1:
+        raise SystemExit("error: --quarantine-out requires --rounds > 1")
     kwargs = _fleet_kwargs(args)
     trace_path = args.trace
     metrics_path = args.metrics
@@ -538,7 +543,7 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_robust_flags(p: argparse.ArgumentParser) -> None:
     """``--rounds`` / ``--quarantine-out`` for the fleet-backed commands."""
-    p.add_argument("--rounds", type=int, default=1, metavar="N",
+    p.add_argument("--rounds", type=_int_arg(1), default=1, metavar="N",
                    help="repeat-and-vote repetitions per test round; "
                         "1 (default) is the legacy single-pass path, "
                         "N>1 classifies failures definite / "
@@ -606,8 +611,6 @@ def _write_quarantine(args, fleet) -> None:
     path = args.quarantine_out
     if not path:
         return
-    if args.rounds <= 1:
-        raise SystemExit("error: --quarantine-out requires --rounds > 1")
     payload = {o.spec.label(): o.quarantine.to_json()
                for o in fleet.outcomes if o.quarantine is not None}
     with open(path, "w") as fh:
@@ -646,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=128)
     p.add_argument("--sample", type=int, default=2000)
     p.add_argument("--seed", type=int, default=2016)
-    p.add_argument("--jobs", type=_jobs_arg, default=1,
+    p.add_argument("--jobs", type=_int_arg(0), default=1,
                    help="worker processes (results are identical "
                         "for any value)")
     _add_obs_flags(p)
@@ -660,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vendor", choices=["A", "B", "C"], default="A")
     p.add_argument("--rows", type=int, default=96)
     p.add_argument("--seed", type=int, default=2016)
-    p.add_argument("--jobs", type=_jobs_arg, default=1,
+    p.add_argument("--jobs", type=_int_arg(0), default=1,
                    help="worker processes (results are identical "
                         "for any value)")
     _add_obs_flags(p)
@@ -690,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modules-per-vendor", type=int, default=2)
     p.add_argument("--rows", type=int, default=96)
     p.add_argument("--seed", type=int, default=2016)
-    p.add_argument("--jobs", type=_jobs_arg, default=1,
+    p.add_argument("--jobs", type=_int_arg(0), default=1,
                    help="worker processes (results are identical "
                         "for any value)")
     p.add_argument("--csv", metavar="FILE",
@@ -721,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-dir", required=True, metavar="DIR",
                    help="durable state: queue journal, per-campaign "
                         "checkpoints, shutdown trace")
-    p.add_argument("--jobs", type=_jobs_arg, default=1,
+    p.add_argument("--jobs", type=_int_arg(0), default=1,
                    help="worker processes per shard (>= 2 enables "
                         "the hung-target watchdog)")
     p.add_argument("--shard-size", type=int, default=4, metavar="N",

@@ -29,7 +29,7 @@ from .patterns import inverse
 from .recursion import RecursionResult, recursive_neighbour_search
 from .remap_recovery import RecoveryResult, recover_irregular_victims
 from .scheduler import TestSchedule, build_schedule
-from .victims import (VictimSample, _failure_histogram,
+from .victims import (CellKeys, VictimSample, _failure_histogram,
                       find_initial_victims)
 
 __all__ = ["ParborResult", "run_parbor", "neighbour_aware_sweep",
@@ -174,12 +174,9 @@ def run_parbor(target: Union[DramModule, DramChip, Sequence[DramChip]],
         n_discovery_tests=sample.n_discovery_tests,
         n_recursion_tests=recursion.total_tests)
     if robust:
-        from ..robust.quarantine import QuarantineSet
-        from ..robust.verdicts import CellVerdicts
+        from ..robust.vote import VoteLedger, robust_sweep
 
-        result.verdicts = CellVerdicts(rounds=policy.rounds,
-                                       policy=policy)
-        result.quarantine = QuarantineSet()
+        keys, ledger = CellKeys(controllers), VoteLedger(0)
 
     if run_sweep and recursion.distances:
         with obs.span("sweep") as sweep_span:
@@ -188,15 +185,11 @@ def run_parbor(target: Union[DramModule, DramChip, Sequence[DramChip]],
                                       scheme=config.scheduler)
             result.schedule = schedule
             if robust:
-                from ..robust.vote import robust_sweep
-
                 sweep = robust_sweep(controllers, schedule, policy,
                                      seed=seed)
                 result.n_sweep_rounds = (sweep.rounds_executed
                                          + sweep.control_rounds)
-                result.detected = sweep.detected
-                result.verdicts = sweep.verdicts
-                result.quarantine = sweep.quarantine
+                result.detected, ledger = sweep.detected, sweep.ledger
             else:
                 result.n_sweep_rounds = schedule.total_rounds
                 result.detected = neighbour_aware_sweep(controllers,
@@ -215,21 +208,16 @@ def run_parbor(target: Union[DramModule, DramChip, Sequence[DramChip]],
                                   recovered=len(result.recovery),
                                   tests=result.recovery.tests)
         # Discovery-phase failures are part of the campaign's budget
-        # and therefore of its detections.
+        # and therefore of its detections.  Robust campaigns add them
+        # (remap-recovered victims among them) to the ledger without
+        # votes: probabilistic unless they failed a control round.
         if robust:
-            # Cells only the discovery battery (or the remap recovery)
-            # observed carry a single observation; control-clean ones
-            # count as probabilistic detections - matching the legacy
-            # inclusion - while control failures stay quarantined.
-            verdicts = result.verdicts
-            extra = set(sample.observed_failures) | set(result.detected)
-            verdicts.discovery_only |= {
-                c for c in extra
-                if c not in verdicts.votes
-                and c not in verdicts.control_failures}
-            result.detected = verdicts.detected()
+            ledger.locate(keys.encode_coords(sample.observed_failures))
         else:
             result.detected |= sample.observed_failures
+    if robust:
+        result.detected, result.quarantine, result.verdicts = (
+            ledger.classify(keys, policy))
     # Drain ECC-recovery ambiguity: cells whose pre-correction state
     # the on-die ECC stage could not uniquely invert are surrendered
     # to quarantine - a definite verdict through an ambiguous lens

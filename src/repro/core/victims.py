@@ -99,6 +99,11 @@ class CellKeys:
                  + rows.astype(np.int64)) * self.row_bits
                 + cols.astype(np.int64))
 
+    def encode_coords(self, coords: Iterable[Coord]) -> np.ndarray:
+        """:meth:`encode` of ``(chip, bank, row, col)`` tuples."""
+        return self.encode(*np.array(list(coords), dtype=np.int64)
+                           .reshape(-1, 4).T)
+
     def decode(self, keys: np.ndarray) -> List[Coord]:
         cols = keys % self.row_bits
         rest = keys // self.row_bits

@@ -153,8 +153,8 @@ class EccCampaignSpec(CampaignSpec):
         The campaign ran through the (distorted) lens; its detections
         cannot be trusted as raw-cell verdicts, so every one of them
         is quarantined and any robust verdicts are flagged degraded -
-        :meth:`repro.robust.CellVerdicts.verdict` then caps cells at
-        probabilistic instead of definite.
+        the verdict rule (:func:`repro.robust.verdicts.classify`) then
+        caps cells at probabilistic instead of definite.
         """
         from ..robust.quarantine import QuarantineSet
 

@@ -25,18 +25,20 @@ and of which other rounds the adaptive early-exit chose to re-run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-__all__ = ["DEFINITE", "PROBABILISTIC", "UNSTABLE", "RoundsPolicy",
-           "CellVerdicts"]
+import numpy as np
+
+__all__ = ["DEFINITE", "PROBABILISTIC", "UNSTABLE", "VERDICTS",
+           "RoundsPolicy", "classify", "CellVerdicts"]
 
 Coord = Tuple[int, int, int, int]  # (chip, bank, row, sys_col)
 
 DEFINITE = "definite"
 PROBABILISTIC = "probabilistic"
 UNSTABLE = "unstable"
+VERDICTS = (DEFINITE, PROBABILISTIC, UNSTABLE)  # indexed by verdict code
 
 
 @dataclass(frozen=True)
@@ -56,21 +58,12 @@ class RoundsPolicy:
         controls: run solid-0/solid-1 control rounds each repetition to
             catch content-independent cells.  ``None`` (default) means
             "whenever ``rounds > 1``".
-        drift_threshold: maximum tolerated per-round profile drift
-            (symmetric difference over union) before the integrity
-            gate trips; ``None`` disables the gate.
-        strict: with True a tripped integrity gate raises
-            :class:`~repro.robust.integrity.ProfileDriftError`; with
-            False it degrades - the drift is recorded on the result
-            and emitted as an ``profile.drift`` event instead.
     """
 
     rounds: int = 1
     early_definite: int = 2
     probabilistic_threshold: float = 0.5
     controls: Optional[bool] = None
-    drift_threshold: Optional[float] = None
-    strict: bool = True
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -80,9 +73,6 @@ class RoundsPolicy:
         if not 0 < self.probabilistic_threshold <= 1:
             raise ValueError(
                 "probabilistic_threshold must be in (0, 1]")
-        if (self.drift_threshold is not None
-                and not 0 <= self.drift_threshold <= 1):
-            raise ValueError("drift_threshold must be in [0, 1]")
 
     @property
     def run_controls(self) -> bool:
@@ -95,13 +85,31 @@ class RoundsPolicy:
         """Whether this policy is the byte-identical single-pass path."""
         return self.rounds == 1 and not self.run_controls
 
-    def required_votes(self, scored: int) -> int:
-        """Votes needed for a ``probabilistic`` verdict."""
-        return max(1, math.ceil(self.probabilistic_threshold * scored))
+    def required_votes(self, scored):
+        """Votes needed for a ``probabilistic`` verdict (elementwise)."""
+        need = np.maximum(1, np.ceil(self.probabilistic_threshold
+                                     * np.asarray(scored)))
+        return need.astype(np.int64) if need.ndim else int(need)
 
     def definite_votes(self) -> int:
         """Repetitions a cell must sweep to be declared ``definite``."""
         return min(self.rounds, self.early_definite)
+
+
+def classify(votes, scored, control, discovery_only,
+             policy: RoundsPolicy, degraded: bool = False) -> np.ndarray:
+    """The verdict rule of the module docstring: the :data:`VERDICTS`
+    code of every cell, from parallel per-cell arrays.
+    ``discovery_only`` cells have no sweep votes; ``degraded`` caps
+    definite at probabilistic."""
+    votes = np.asarray(votes, dtype=np.int64)
+    scored = np.asarray(scored, dtype=np.int64)
+    codes = np.where(votes >= policy.required_votes(scored), 1, 2)
+    if not degraded:
+        codes[(votes == scored) & (scored >= policy.definite_votes())] = 0
+    codes[np.asarray(discovery_only, dtype=bool)] = 1
+    codes[np.asarray(control, dtype=bool)] = 2
+    return codes
 
 
 @dataclass
@@ -139,25 +147,24 @@ class CellVerdicts:
         return (set(self.votes) | self.control_failures
                 | self.discovery_only)
 
+    def _classify(self, cells: List[Coord]) -> np.ndarray:
+        """:func:`classify` of ``cells`` (observed ones) from the dicts."""
+        return classify([self.votes.get(c, 0) for c in cells],
+                        [self.scored.get(c, self.rounds) for c in cells],
+                        [c in self.control_failures for c in cells],
+                        [c not in self.votes for c in cells],
+                        self.policy, self.degraded)
+
     def verdict(self, coord: Coord) -> Optional[str]:
         """The verdict for one cell (None if it was never observed)."""
-        if coord in self.control_failures:
-            return UNSTABLE
-        if coord in self.votes:
-            votes = self.votes[coord]
-            scored = self.scored.get(coord, self.rounds)
-            if (votes == scored
-                    and scored >= self.policy.definite_votes()):
-                return PROBABILISTIC if self.degraded else DEFINITE
-            if votes >= self.policy.required_votes(scored):
-                return PROBABILISTIC
-            return UNSTABLE
-        if coord in self.discovery_only:
-            return PROBABILISTIC
-        return None
+        if coord not in self.observed():
+            return None
+        return VERDICTS[self._classify([coord])[0]]
 
-    def _by_verdict(self, wanted: str) -> Set[Coord]:
-        return {c for c in self.observed() if self.verdict(c) == wanted}
+    def _by_verdict(self, *wanted: str) -> Set[Coord]:
+        cells = list(self.observed())
+        return {c for c, code in zip(cells, self._classify(cells).tolist())
+                if VERDICTS[code] in wanted}
 
     def definite(self) -> Set[Coord]:
         return self._by_verdict(DEFINITE)
@@ -170,11 +177,8 @@ class CellVerdicts:
 
     def detected(self) -> Set[Coord]:
         """Trusted detections: definite plus probabilistic cells."""
-        return {c for c in self.observed()
-                if self.verdict(c) in (DEFINITE, PROBABILISTIC)}
+        return self._by_verdict(DEFINITE, PROBABILISTIC)
 
     def counts(self) -> Dict[str, int]:
-        tally = {DEFINITE: 0, PROBABILISTIC: 0, UNSTABLE: 0}
-        for coord in self.observed():
-            tally[self.verdict(coord)] += 1
-        return tally
+        codes = self._classify(list(self.observed()))
+        return dict(zip(VERDICTS, np.bincount(codes, minlength=3).tolist()))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -39,10 +39,11 @@ from ..core.patterns import inverse, solid
 from ..core.victims import CellKeys, whole_chip_failures
 from ..runtime.seeds import ladder_seed
 from .quarantine import QuarantineSet
-from .verdicts import CellVerdicts, RoundsPolicy
+from .verdicts import (UNSTABLE, VERDICTS, CellVerdicts, RoundsPolicy,
+                       classify)
 
-__all__ = ["RobustSweepResult", "robust_sweep", "reseed_bank",
-           "reseed_banks"]
+__all__ = ["RobustSweepResult", "VoteLedger", "robust_sweep",
+           "reseed_bank", "reseed_banks"]
 
 Coord = Tuple[int, int, int, int]  # (chip, bank, row, sys_col)
 
@@ -59,6 +60,7 @@ class RobustSweepResult:
             the adaptive early-exit makes this less than
             ``rounds * len(schedule)``.
         control_rounds: control rounds run.
+        ledger: the classified vote ledger (cell keys, cell arrays).
     """
 
     detected: Set[Coord] = field(default_factory=set)
@@ -66,6 +68,7 @@ class RobustSweepResult:
     quarantine: QuarantineSet = field(default_factory=QuarantineSet)
     rounds_executed: int = 0
     control_rounds: int = 0
+    ledger: Optional[VoteLedger] = None
 
 
 def reseed_bank(bank, seed: int, *path) -> None:
@@ -98,7 +101,7 @@ def reseed_banks(controllers: Sequence, seed: int, *path) -> None:
             reseed_bank(bank, seed, *path, chip_idx, bank_idx)
 
 
-class _VoteLedger:
+class VoteLedger:
     """The repeat-and-vote ledger as arrays over sorted cell keys.
 
     One entry per observed cell (a :class:`~repro.core.victims.CellKeys`
@@ -106,7 +109,8 @@ class _VoteLedger:
     :attr:`CellVerdicts.votes` keys), ``attr`` is the ``(n_cells,
     n_rounds)`` mask of schedule rounds a cell's votes count on,
     ``decided`` marks cells whose verdict can no longer change and
-    ``control`` cells that failed a control round.
+    ``control`` cells that failed a control round.  A cell neither
+    tracked nor control-failed is discovery-only.
     """
 
     def __init__(self, n_rounds: int) -> None:
@@ -168,32 +172,38 @@ class _VoteLedger:
         # threshold monotonicity makes the two bounds sound for every
         # intermediate stop too.
         remaining = policy.rounds - 1 - rep
-        need = _required_votes(policy, self.scored + remaining)
+        need = policy.required_votes(self.scored + remaining)
         swept = self.votes == self.scored
         self.decided |= live & np.where(
             swept, self.scored >= policy.definite_votes(),
             (self.votes + remaining < need) | (self.votes >= need))
 
-    def detected(self, policy: RoundsPolicy) -> np.ndarray:
-        """Cells :meth:`CellVerdicts.verdict` calls definite or
-        probabilistic (the ledger is never degraded); the rest of the
-        ledger is unstable."""
-        clean = self.tracked & ~self.control
-        definite = ((self.votes == self.scored)
-                    & (self.scored >= policy.definite_votes()))
-        return clean & (definite | (self.votes >= _required_votes(
-            policy, self.scored)))
+    def classify(self, keys: CellKeys, policy: RoundsPolicy
+                 ) -> Tuple[Set[Coord], QuarantineSet, CellVerdicts]:
+        """Classify every cell once: the trusted detections, the
+        quarantine of the rest and the public :class:`CellVerdicts`."""
+        coords = keys.decode(self.keys)
+        discovery = ~self.tracked & ~self.control
+        unstable = classify(self.votes, self.scored, self.control, discovery,
+                            policy) == VERDICTS.index(UNSTABLE)
+        swept = list(compress(coords, self.tracked.tolist()))
+        verdicts = CellVerdicts(
+            rounds=policy.rounds, policy=policy,
+            votes=dict(zip(swept, self.votes[self.tracked].tolist())),
+            scored=dict(zip(swept, self.scored[self.tracked].tolist())),
+            control_failures=set(compress(coords, self.control.tolist())),
+            discovery_only=set(compress(coords, discovery.tolist())))
+        quarantine = QuarantineSet(dict(zip(
+            compress(coords, unstable.tolist()),
+            np.where(self.control[unstable], "control-failure",
+                     "inconsistent-votes").tolist())))
+        return (set(compress(coords, (~unstable).tolist())), quarantine,
+                verdicts)
 
     def undecided_rounds(self) -> np.ndarray:
         """Rounds attributed to a tracked, undecided cell (ascending)."""
         return np.flatnonzero(
             self.attr[self.tracked & ~self.decided].any(axis=0))
-
-
-def _required_votes(policy: RoundsPolicy, scored: np.ndarray) -> np.ndarray:
-    """:meth:`RoundsPolicy.required_votes` over an array."""
-    return np.maximum(1, np.ceil(policy.probabilistic_threshold * scored)
-                      ).astype(np.int64)
 
 
 def robust_sweep(controllers: Sequence, schedule,
@@ -205,8 +215,7 @@ def robust_sweep(controllers: Sequence, schedule,
     as one batch of whole-chip tests
     (:func:`~repro.core.victims.whole_chip_failures`), every test
     reseeding its bank from the ladder just before it draws, and is
-    scored on the array ledger; the public :class:`CellVerdicts` and
-    quarantine are built once at the end.
+    scored on the array ledger, which is classified once at the end.
 
     Args:
         controllers: one memory controller per chip.
@@ -224,7 +233,7 @@ def robust_sweep(controllers: Sequence, schedule,
                           dtype=np.uint8).reshape(-1, row_bits)
     controls = np.stack([solid(row_bits, 0), solid(row_bits, 1)])
     keys = CellKeys(controllers)
-    ledger = _VoteLedger(len(polarities))
+    ledger = VoteLedger(len(polarities))
     result = RobustSweepResult()
 
     executed = np.arange(len(polarities))
@@ -258,23 +267,9 @@ def robust_sweep(controllers: Sequence, schedule,
         control[at[~swept]] = True
         ledger.score(rep, failed, control, executed, policy)
 
-    # Final classification, in one pass: control failures override
-    # everything.  Every ledger cell was observed (tracked or control).
-    coords = keys.decode(ledger.keys)
-    detected = ledger.detected(policy)
-    tracked = ledger.tracked.tolist()
-    result.verdicts = CellVerdicts(
-        rounds=policy.rounds, policy=policy,
-        votes=dict(zip(compress(coords, tracked),
-                       ledger.votes[ledger.tracked].tolist())),
-        scored=dict(zip(compress(coords, tracked),
-                        ledger.scored[ledger.tracked].tolist())),
-        control_failures=set(compress(coords, ledger.control.tolist())))
-    result.detected = set(compress(coords, detected.tolist()))
-    for coord, control in zip(compress(coords, (~detected).tolist()),
-                              ledger.control[~detected].tolist()):
-        result.quarantine.add(coord, "control-failure" if control
-                              else "inconsistent-votes")
+    result.ledger = ledger
+    result.detected, result.quarantine, result.verdicts = ledger.classify(
+        keys, policy)
     if obs.enabled():
         obs.inc("profile.rounds", result.rounds_executed)
         obs.inc("profile.control_rounds", result.control_rounds)

@@ -142,6 +142,9 @@ class CampaignSpec:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"expected one of {EXPERIMENTS}")
+        if self.rounds < 1:
+            raise ValueError(f"rounds must be at least 1, got "
+                             f"{self.rounds}")
 
     def label(self) -> str:
         return f"{self.experiment}:{self.vendor}{self.index}"

@@ -41,6 +41,12 @@ from.  It is a test fake, never a production option:
   repeat-and-vote sweep the array ledger of
   :func:`repro.robust.vote.robust_sweep` replaced: one whole-chip test
   per round, cells as coordinate tuples in sets and dicts.
+* **verdicts** - :func:`verdict` is the scalar verdict rule, one cell
+  at a time, that :func:`repro.robust.verdicts.classify` writes over
+  arrays; :func:`robust_sweep` classifies with it, and
+  :func:`campaign_fold` is the set-based post-sweep fold that
+  :func:`repro.core.detector.run_parbor` replaced with one
+  classification of the sweep's ledger.
 
 :func:`oracle_substrate` patches these onto :class:`~repro.dram.Bank`,
 :class:`~repro.dram.controller.MemoryController` and
@@ -68,6 +74,7 @@ a time, and :func:`encode_ref` / :func:`decode_ref` XOR ``H`` columns
 bit by bit.
 """
 
+import math
 import time
 from contextlib import contextmanager
 from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
@@ -81,6 +88,7 @@ from repro import obs
 from repro._kernels import WORD_BITS, pack_rows, unpack_rows
 from repro.core.patterns import inverse, solid
 from repro.core.recursion import CORROBORATION_FLOOR, _RowGroup
+from repro.core.victims import CellKeys
 from repro.dram.bank import Bank
 from repro.dram.cells import NO_NEIGHBOUR, CoupledCellPopulation
 from repro.dram.controller import MemoryController
@@ -92,8 +100,10 @@ from repro.ecc.secded import (CHECK_BITS, CHECK_COLUMN, CLEAN, CORRECTED,
                               CORRECTED_CHECK, DETECTED, MISCORRECTED,
                               UNDETECTED, HammingSecDed,
                               decode_with_tables)
-from repro.robust.verdicts import CellVerdicts, RoundsPolicy
-from repro.robust.vote import RobustSweepResult, reseed_bank
+from repro.robust.quarantine import QuarantineSet
+from repro.robust.verdicts import (DEFINITE, PROBABILISTIC, UNSTABLE,
+                                   CellVerdicts, RoundsPolicy)
+from repro.robust.vote import RobustSweepResult, VoteLedger, reseed_bank
 from repro.runtime.seeds import ladder_seed
 
 Coord = Tuple[int, int, int, int]  # (chip, bank, row, sys_col)
@@ -103,7 +113,8 @@ __all__ = ["write_rows", "write_rows_patched", "evaluate_failures",
            "retention_check_cells",
            "test_rows_patched", "test_regions", "revote_uncorroborated",
            "level_tally", "retention_failures",
-           "test_patterns", "robust_sweep", "oracle_substrate",
+           "test_patterns", "verdict", "robust_sweep", "campaign_fold",
+           "oracle_substrate",
            "injected_cells", "lens_transform_read",
            "beer_probe_round", "beer_classify", "beer_paired_outcomes",
            "validate_inference", "encode_ref",
@@ -731,6 +742,73 @@ def reseed_banks(controllers, seed: int, *path) -> None:
                                 bank_idx))
 
 
+def verdict(verdicts: CellVerdicts, coord: Coord) -> Optional[str]:
+    """The verdict rule for one cell (None if it was never observed)."""
+    if coord in verdicts.control_failures:
+        return UNSTABLE
+    if coord in verdicts.votes:
+        policy = verdicts.policy
+        votes = verdicts.votes[coord]
+        scored = verdicts.scored.get(coord, verdicts.rounds)
+        if (votes == scored
+                and scored >= min(policy.rounds, policy.early_definite)):
+            return PROBABILISTIC if verdicts.degraded else DEFINITE
+        if votes >= max(1, math.ceil(policy.probabilistic_threshold
+                                     * scored)):
+            return PROBABILISTIC
+        return UNSTABLE
+    if coord in verdicts.discovery_only:
+        return PROBABILISTIC
+    return None
+
+
+def _verdict_sets(verdicts: CellVerdicts
+                  ) -> Tuple[Set[Coord], QuarantineSet]:
+    """Detected cells and the quarantine of the rest, by :func:`verdict`."""
+    detected: Set[Coord] = set()
+    quarantine = QuarantineSet()
+    for coord in verdicts.observed():
+        if verdict(verdicts, coord) != UNSTABLE:
+            detected.add(coord)
+        else:
+            quarantine.add(coord, "control-failure"
+                           if coord in verdicts.control_failures
+                           else "inconsistent-votes")
+    return detected, quarantine
+
+
+def campaign_fold(result) -> Tuple[Set[Coord], QuarantineSet,
+                                   CellVerdicts]:
+    """The post-sweep fold of a robust :func:`run_parbor` campaign.
+
+    Rebuilds the sweep's verdicts from ``result.verdicts``' votes,
+    scores and control failures, classifies them cell by cell, adds the
+    remap-recovered cells, and then folds every discovery (or
+    recovery) failure without sweep votes or a control failure into
+    ``discovery_only`` before classifying again - the set-based path
+    the campaign's one classification of its ledger replaced.
+
+    Returns:
+        ``(detected, quarantine, verdicts)`` as the campaign should
+        report them before any ECC quarantine is added.
+    """
+    swept = result.verdicts
+    verdicts = CellVerdicts(rounds=swept.rounds, policy=swept.policy,
+                            votes=dict(swept.votes),
+                            scored=dict(swept.scored),
+                            control_failures=set(swept.control_failures),
+                            degraded=swept.degraded)
+    detected, quarantine = _verdict_sets(verdicts)
+    if result.recovery is not None:
+        detected.update(result.recovery.recovered_coords())
+    extra = set(result.sample.observed_failures) | detected
+    verdicts.discovery_only |= {
+        c for c in extra
+        if c not in verdicts.votes and c not in verdicts.control_failures}
+    detected, _ = _verdict_sets(verdicts)
+    return detected, quarantine, verdicts
+
+
 def _run_round(controllers, polarity: np.ndarray) -> Set[Coord]:
     failures: Set[Coord] = set()
     for chip_idx, ctrl in enumerate(controllers):
@@ -842,13 +920,17 @@ def robust_sweep(controllers: Sequence, schedule,
                 # two bounds sound for every intermediate stop too.
                 decided.add(coord)
 
-    # Final classification: control failures override everything.
-    result.detected = verdicts.detected()
-    for coord in verdicts.unstable():
-        reason = ("control-failure"
-                  if coord in verdicts.control_failures
-                  else "inconsistent-votes")
-        result.quarantine.add(coord, reason)
+    result.detected, result.quarantine = _verdict_sets(verdicts)
+    # The ledger a campaign goes on from: the final votes, scores and
+    # control failures as the production ledger's arrays.
+    cells = sorted(verdicts.observed())
+    result.ledger = VoteLedger(len(rounds))
+    at = result.ledger.locate(CellKeys(controllers).encode_coords(cells))
+    result.ledger.votes[at] = [verdicts.votes.get(c, 0) for c in cells]
+    result.ledger.scored[at] = [verdicts.scored.get(c, 0) for c in cells]
+    result.ledger.tracked[at] = [c in verdicts.votes for c in cells]
+    result.ledger.control[at] = [c in verdicts.control_failures
+                                 for c in cells]
     if obs.enabled():
         obs.inc("profile.rounds", result.rounds_executed)
         obs.inc("profile.control_rounds", result.control_rounds)

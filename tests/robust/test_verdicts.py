@@ -29,8 +29,6 @@ class TestRoundsPolicy:
         dict(early_definite=0),
         dict(probabilistic_threshold=0.0),
         dict(probabilistic_threshold=1.5),
-        dict(drift_threshold=-0.1),
-        dict(drift_threshold=1.1),
     ])
     def test_invalid_policies_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -76,6 +76,11 @@ class TestSpecRoundTrip:
         ({"experiment": "nope", "vendor": "A"}, "invalid spec"),
         ({"experiment": "characterize", "vendor": "A",
           "chaos": {"plan": ["crash"]}}, "chaos"),
+        # Refused at submit, not by a worker after acceptance.
+        ({"experiment": "characterize", "vendor": "A", "rounds": 0},
+         "invalid spec: rounds"),
+        ({"experiment": "characterize", "vendor": "A", "rounds": -1},
+         "invalid spec: rounds"),
     ])
     def test_strict_validation(self, payload, match):
         with pytest.raises(ProtocolError, match=match):

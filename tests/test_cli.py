@@ -29,6 +29,28 @@ class TestParser:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["characterize", "compare", "fleet"])
+    @pytest.mark.parametrize("rounds", ["0", "-3"])
+    def test_rounds_must_be_positive(self, command, rounds, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--rounds", rounds])
+        assert exc.value.code == 2
+        assert "--rounds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["characterize", "compare", "fleet"])
+    def test_quarantine_out_needs_rounds_before_any_campaign(
+            self, command, monkeypatch, tmp_path):
+        import repro.runtime
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr(repro.runtime, "run_fleet", no_campaign)
+        out = tmp_path / "q.json"
+        with pytest.raises(SystemExit, match="requires --rounds > 1"):
+            main([command, "--rows", "32", "--quarantine-out", str(out)])
+        assert not out.exists()
+
 
 class TestCommands:
     def test_characterize(self, capsys, tmp_path):
