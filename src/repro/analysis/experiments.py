@@ -9,8 +9,8 @@ interactively. Figure 16 (DC-REF) lives in :mod:`repro.sim` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,10 +144,6 @@ def fleet_specs(modules_per_vendor: int, seed: int = 2016,
                 n_rows=n_rows, config=config, trace=trace,
                 rounds=rounds))
     return specs
-
-
-#: Backwards-compatible private alias (pre-observability name).
-_fleet_specs = fleet_specs
 
 
 def fleet_comparison(modules_per_vendor: int = 6, seed: int = 2016,

@@ -17,20 +17,25 @@ Commands map one-to-one onto the evaluation drivers:
 
 Every command prints a human table and optionally dumps machine-
 readable JSON with ``--json FILE``.  ``characterize``, ``compare``,
-and ``fleet`` also accept ``--trace FILE`` / ``--metrics FILE`` to
-capture an observability record of the run (:mod:`repro.obs`).
+and ``fleet`` share one set of campaign options (``--jobs``, the
+``--trace``/``--metrics`` observability capture of :mod:`repro.obs`,
+the resilience options of :func:`repro.runtime.run_fleet` and the
+robust ``--rounds``) and run through one fleet path.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import sys
 from typing import Any, Dict, List, Optional
 
-from .analysis import (campaign_to_json, compare_module,
-                       comparisons_to_csv, comparisons_to_json,
-                       format_distance_set, format_table)
+from . import obs
+from .analysis import (campaign_to_json, comparisons_to_csv,
+                       comparisons_to_json, format_distance_set,
+                       format_table)
 from .core import (MARCH_B, MARCH_C_MINUS, MATS_PLUS, ParborConfig,
                    checkerboard, controllers_for, exhaustive_cost_table,
                    module_test_time_s, plan_campaign, reduction_factor,
@@ -52,6 +57,14 @@ def _int_arg(low: int):
     return integer
 
 
+def _positive_float(value: str) -> float:
+    """An argparse ``type``: a number greater than zero."""
+    number = float(value)
+    if not number > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return number
+
+
 def _dump_json(path: Optional[str], payload: Dict[str, Any]) -> None:
     if not path:
         return
@@ -68,74 +81,75 @@ def _fleet_trace_id(specs) -> str:
     return f"fleet:{len(specs)}#{digest:016x}"
 
 
-def _fleet_kwargs(args) -> Dict[str, Any]:
-    """Map the resilience CLI flags onto ``run_fleet`` keywords."""
-    kwargs: Dict[str, Any] = {"jobs": args.jobs}
-    if args.resume and not args.checkpoint:
-        raise SystemExit("error: --resume requires --checkpoint FILE")
-    if args.checkpoint:
-        kwargs["checkpoint"] = args.checkpoint
-        kwargs["resume"] = args.resume
-    if args.timeout is not None:
-        kwargs["timeout_s"] = args.timeout
-    if args.max_failures is not None:
-        kwargs["strict"] = False
-        kwargs["max_failures"] = args.max_failures
-    return kwargs
+def _run_campaign(args: argparse.Namespace, specs, render) -> int:
+    """Run a campaign command's specs as one fleet and render it.
 
+    The one path of ``characterize``, ``compare`` and ``fleet``:
+    refuse inconsistent campaign options before any campaign runs, add
+    the ``--ecc``/``--ecc-recover`` twin of the first spec, and run the
+    fleet with the resilience options.  Under ``--trace``/``--metrics``
+    every spec is marked ``trace=True`` and the run happens inside a
+    parent observability session: in-process targets record into it
+    directly, worker-process targets ship their records back on the
+    outcome, and the two streams are merged before writing.  The
+    campaign outcomes are identical either way.
 
-def _report_degraded(fleet) -> None:
-    """Print the per-target status table of a degraded fleet."""
-    if not fleet.ok:
-        from .runtime import render_degraded
-        print(render_degraded(fleet), file=sys.stderr)
-
-
-def _run_fleet_observed(specs, args):
-    """Run a fleet, honouring ``--trace`` / ``--metrics`` when present.
-
-    Without either flag this is a plain :func:`run_fleet` call.  With
-    them, every spec is marked ``trace=True`` and the run happens
-    inside a parent observability session: in-process targets record
-    into the parent session directly, worker-process targets ship
-    their records back on the outcome, and the two streams are merged
-    before writing.  The campaign outcomes are identical either way.
-    The resilience flags (``--checkpoint`` / ``--resume`` /
-    ``--timeout`` / ``--max-failures``) pass straight through to
-    :func:`run_fleet` in every mode.
+    A degraded fleet's status table goes to stderr, ``--quarantine-out``
+    gets the completed targets' quarantine sets, and
+    ``render(args, outcomes)`` prints the command's table and returns
+    its ``--json`` payload.  ``fleet`` renders the targets that
+    completed; a single-target command renders only a complete fleet.
+    The exit status is 1 whenever a target failed.
     """
-    from .runtime import run_fleet
+    from . import runtime
     if args.quarantine_out and args.rounds <= 1:
         raise SystemExit("error: --quarantine-out requires --rounds > 1")
-    kwargs = _fleet_kwargs(args)
-    trace_path = args.trace
-    metrics_path = args.metrics
-    if not trace_path and not metrics_path:
-        fleet = run_fleet(specs, **kwargs)
-        _report_degraded(fleet)
-        return fleet
+    if args.resume and not args.checkpoint:
+        raise SystemExit("error: --resume requires --checkpoint FILE")
+    if getattr(args, "ecc", False) or getattr(args, "ecc_recover", False):
+        from .ecc import EccCampaignSpec
+        mode = "recover" if args.ecc_recover else "lens"
+        specs = specs + [EccCampaignSpec(
+            ecc=mode, **{f.name: getattr(specs[0], f.name)
+                         for f in dataclasses.fields(specs[0])})]
+    observed = args.trace or args.metrics
+    if observed:
+        specs = [dataclasses.replace(s, trace=True) for s in specs]
+    with (obs.session(_fleet_trace_id(specs), label="fleet") if observed
+          else contextlib.nullcontext()) as sess:
+        fleet = runtime.run_fleet(
+            specs, jobs=args.jobs, checkpoint=args.checkpoint,
+            resume=args.resume, timeout_s=args.timeout,
+            strict=args.max_failures is None,
+            max_failures=args.max_failures)
+    if not fleet.ok:
+        print(runtime.render_degraded(fleet), file=sys.stderr)
+    if observed:
+        _write_observations(args, sess, fleet)
+    if args.quarantine_out:
+        payload = {o.spec.label(): o.quarantine.to_json()
+                   for o in fleet.outcomes if o.quarantine is not None}
+        with open(args.quarantine_out, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote quarantine sets to {args.quarantine_out}")
+    if fleet.ok or args.command == "fleet":
+        _dump_json(args.json, render(args, fleet.outcomes))
+    return 0 if fleet.ok else 1
 
-    import dataclasses
 
-    from . import obs
-    from .obs.trace import write_jsonl
-
-    specs = [dataclasses.replace(s, trace=True) for s in specs]
-    with obs.session(_fleet_trace_id(specs), label="fleet") as sess:
-        fleet = run_fleet(specs, **kwargs)
-    _report_degraded(fleet)
-    records = sess.export_records() + fleet.trace_records()
-    if trace_path:
-        n = write_jsonl(trace_path, records)
-        print(f"wrote {n} trace records to {trace_path}")
-    if metrics_path:
+def _write_observations(args, sess, fleet) -> None:
+    """Honour ``--trace`` / ``--metrics`` for an observed fleet."""
+    if args.trace:
+        records = sess.export_records() + fleet.trace_records()
+        n = obs.write_jsonl(args.trace, records)
+        print(f"wrote {n} trace records to {args.trace}")
+    if args.metrics:
         from .analysis import metrics_to_json
-        merged = obs.MetricsRegistry.merge(
-            [sess.metrics, fleet.metrics])
-        with open(metrics_path, "w") as fh:
+        merged = obs.MetricsRegistry.merge([sess.metrics, fleet.metrics])
+        with open(args.metrics, "w") as fh:
             metrics_to_json(merged, fh)
-        print(f"wrote metrics to {metrics_path}")
-    return fleet
+        print(f"wrote metrics to {args.metrics}")
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
@@ -144,13 +158,11 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
                         build_seed=args.seed, run_seed=args.seed + 1,
                         n_rows=args.rows, sample_size=args.sample,
                         run_sweep=args.rounds > 1, rounds=args.rounds)
-    ecc_spec = _ecc_companion(spec, args)
-    specs = [spec] + ([ecc_spec] if ecc_spec else [])
-    fleet = _run_fleet_observed(specs, args)
-    if len(fleet.outcomes) < len(specs):
-        return 1  # degraded away entirely; table already printed
-    _write_quarantine(args, fleet)
-    result = fleet.outcomes[0].result
+    return _run_campaign(args, [spec], _render_characterize)
+
+
+def _render_characterize(args, outcomes) -> Dict[str, Any]:
+    result = outcomes[0].result
     rows = [[f"L{lv.level}", lv.region_size, lv.tests,
              format_distance_set(lv.kept_distances)]
             for lv in result.recursion.levels]
@@ -171,10 +183,9 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
               + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
         payload["verdicts"] = counts
         payload["quarantined"] = len(result.quarantine)
-    if ecc_spec:
-        _report_ecc(fleet.outcomes[0], fleet.outcomes[1], payload)
-    _dump_json(args.json, payload)
-    return 0
+    if len(outcomes) > 1:
+        _report_ecc(*outcomes, payload)
+    return payload
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -182,14 +193,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     spec = CampaignSpec(experiment="compare", vendor=args.vendor, index=1,
                         build_seed=args.seed, run_seed=args.seed + 1,
                         n_rows=args.rows, rounds=args.rounds)
-    ecc_spec = _ecc_companion(spec, args)
-    specs = [spec] + ([ecc_spec] if ecc_spec else [])
-    fleet = _run_fleet_observed(specs, args)
-    if len(fleet.outcomes) < len(specs):
-        return 1  # degraded away entirely; table already printed
-    _write_quarantine(args, fleet)
-    comparison = fleet.outcomes[0].comparison
-    result = fleet.outcomes[0].result
+    return _run_campaign(args, [spec], _render_compare)
+
+
+def _render_compare(args, outcomes) -> Dict[str, Any]:
+    comparison = outcomes[0].comparison
+    result = outcomes[0].result
     rows = [
         ["budget (whole-module tests)", comparison.budget],
         ["PARBOR failures", comparison.parbor_failures],
@@ -212,10 +221,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "extra_percent": comparison.extra_percent,
         "distances": result.distances,
     }
-    if ecc_spec:
-        _report_ecc(fleet.outcomes[0], fleet.outcomes[1], payload)
-    _dump_json(args.json, payload)
-    return 0
+    if len(outcomes) > 1:
+        _report_ecc(*outcomes, payload)
+    return payload
 
 
 def _cmd_dcref(args: argparse.Namespace) -> int:
@@ -279,9 +287,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from .analysis import fleet_specs
     specs = fleet_specs(args.modules_per_vendor, seed=args.seed,
                         n_rows=args.rows, rounds=args.rounds)
-    fleet = _run_fleet_observed(specs, args)
-    _write_quarantine(args, fleet)
-    comparisons = [o.comparison for o in fleet.outcomes]
+    return _run_campaign(args, specs, _render_fleet)
+
+
+def _render_fleet(args, outcomes) -> Dict[str, Any]:
+    comparisons = [o.comparison for o in outcomes]
     rows = [[c.module_id, c.budget, c.parbor_failures,
              c.random_failures, f"{c.extra_percent:+.1f}%"]
             for c in comparisons]
@@ -291,12 +301,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         with open(args.csv, "w") as fh:
             comparisons_to_csv(comparisons, fh)
         print(f"wrote {args.csv}")
-    _dump_json(args.json, {
-        "modules": [{"module": c.module_id,
-                     "extra_percent": c.extra_percent}
-                    for c in comparisons],
-    })
-    return 0
+    return {"modules": [{"module": c.module_id,
+                         "extra_percent": c.extra_percent}
+                        for c in comparisons]}
 
 
 def _cmd_dataset(args: argparse.Namespace) -> int:
@@ -309,28 +316,19 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     """
     import os
 
-    from .analysis import ModuleComparison
-    from .core import ParborConfig
-    from .dram import make_module
+    from . import runtime
+    from .analysis import fleet_specs
 
     os.makedirs(args.out, exist_ok=True)
-    import numpy as np
-    rng = np.random.default_rng(args.seed)
-    comparisons = []
-    for name in ("A", "B", "C"):
-        for i in range(args.modules_per_vendor):
-            module = make_module(name, i + 1,
-                                 seed=int(rng.integers(0, 2**63)),
-                                 n_rows=args.rows)
-            comparison, result = compare_module(
-                module, seed=int(rng.integers(0, 2**31)))
-            comparisons.append(comparison)
-            path = os.path.join(args.out,
-                                f"campaign_{module.module_id}.json")
-            with open(path, "w") as fh:
-                campaign_to_json(result, fh)
-            print(f"{module.module_id}: budget={comparison.budget} "
-                  f"extra={comparison.extra_percent:+.1f}% -> {path}")
+    fleet = runtime.run_fleet(fleet_specs(args.modules_per_vendor,
+                                          seed=args.seed, n_rows=args.rows))
+    comparisons = [o.comparison for o in fleet.outcomes]
+    for c, outcome in zip(comparisons, fleet.outcomes):
+        path = os.path.join(args.out, f"campaign_{c.module_id}.json")
+        with open(path, "w") as fh:
+            campaign_to_json(outcome.result, fh)
+        print(f"{c.module_id}: budget={c.budget} "
+              f"extra={c.extra_percent:+.1f}% -> {path}")
     with open(os.path.join(args.out, "fleet.csv"), "w") as fh:
         comparisons_to_csv(comparisons, fh)
     with open(os.path.join(args.out, "fleet.json"), "w") as fh:
@@ -531,18 +529,33 @@ def _cmd_appendix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_obs_flags(p: argparse.ArgumentParser) -> None:
-    """``--trace`` / ``--metrics`` for the fleet-backed commands."""
+def _add_campaign_flags(p: argparse.ArgumentParser) -> None:
+    """The campaign options of ``characterize``, ``compare`` and
+    ``fleet``: fan-out, observability, resilience and robustness."""
+    p.add_argument("--jobs", type=_int_arg(0), default=1,
+                   help="worker processes (results are identical "
+                        "for any value)")
     p.add_argument("--trace", metavar="FILE",
                    help="capture an observability trace as JSON Lines "
                         "(render it with `repro report FILE`)")
     p.add_argument("--metrics", metavar="FILE",
                    help="write the run's merged metrics registry as "
                         "JSON")
-
-
-def _add_robust_flags(p: argparse.ArgumentParser) -> None:
-    """``--rounds`` / ``--quarantine-out`` for the fleet-backed commands."""
+    p.add_argument("--checkpoint", metavar="FILE",
+                   help="journal every completed target to FILE "
+                        "(JSON Lines) as soon as it finishes")
+    p.add_argument("--resume", action="store_true",
+                   help="load targets already completed in "
+                        "--checkpoint FILE instead of re-running them")
+    p.add_argument("--timeout", type=_positive_float, default=None,
+                   metavar="S",
+                   help="per-target deadline in seconds; a hung "
+                        "worker is killed and the target retried")
+    p.add_argument("--max-failures", type=_int_arg(0), default=None,
+                   metavar="N",
+                   help="degrade gracefully: tolerate up to N failed "
+                        "targets (reported in a status table) instead "
+                        "of aborting on the first one")
     p.add_argument("--rounds", type=_int_arg(1), default=1, metavar="N",
                    help="repeat-and-vote repetitions per test round; "
                         "1 (default) is the legacy single-pass path, "
@@ -566,19 +579,6 @@ def _add_ecc_flags(p: argparse.ArgumentParser) -> None:
                         "probe device first and un-distort every "
                         "read; a failed inference degrades the "
                         "campaign fail-closed (implies --ecc)")
-
-
-def _ecc_companion(spec, args):
-    """The ECC twin of ``spec`` when ``--ecc``/``--ecc-recover`` asks
-    for one; None otherwise."""
-    if not (args.ecc or args.ecc_recover):
-        return None
-    from .ecc import EccCampaignSpec
-    import dataclasses
-    mode = "recover" if args.ecc_recover else "lens"
-    return EccCampaignSpec(ecc=mode,
-                           **{f.name: getattr(spec, f.name)
-                              for f in dataclasses.fields(spec)})
 
 
 def _report_ecc(base_outcome, ecc_outcome, payload) -> None:
@@ -606,37 +606,6 @@ def _report_ecc(base_outcome, ecc_outcome, payload) -> None:
     }
 
 
-def _write_quarantine(args, fleet) -> None:
-    """Honour ``--quarantine-out`` for a finished fleet."""
-    path = args.quarantine_out
-    if not path:
-        return
-    payload = {o.spec.label(): o.quarantine.to_json()
-               for o in fleet.outcomes if o.quarantine is not None}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote quarantine sets to {path}")
-
-
-def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
-    """Checkpoint/deadline flags for the fleet-backed commands."""
-    p.add_argument("--checkpoint", metavar="FILE",
-                   help="journal every completed target to FILE "
-                        "(JSON Lines) as soon as it finishes")
-    p.add_argument("--resume", action="store_true",
-                   help="load targets already completed in "
-                        "--checkpoint FILE instead of re-running them")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
-                   help="per-target deadline in seconds; a hung "
-                        "worker is killed and the target retried")
-    p.add_argument("--max-failures", type=int, default=None,
-                   metavar="N",
-                   help="degrade gracefully: tolerate up to N failed "
-                        "targets (reported in a status table) instead "
-                        "of aborting on the first one")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -649,12 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=128)
     p.add_argument("--sample", type=int, default=2000)
     p.add_argument("--seed", type=int, default=2016)
-    p.add_argument("--jobs", type=_int_arg(0), default=1,
-                   help="worker processes (results are identical "
-                        "for any value)")
-    _add_obs_flags(p)
-    _add_resilience_flags(p)
-    _add_robust_flags(p)
+    _add_campaign_flags(p)
     _add_ecc_flags(p)
     p.set_defaults(func=_cmd_characterize)
 
@@ -663,12 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vendor", choices=["A", "B", "C"], default="A")
     p.add_argument("--rows", type=int, default=96)
     p.add_argument("--seed", type=int, default=2016)
-    p.add_argument("--jobs", type=_int_arg(0), default=1,
-                   help="worker processes (results are identical "
-                        "for any value)")
-    _add_obs_flags(p)
-    _add_resilience_flags(p)
-    _add_robust_flags(p)
+    _add_campaign_flags(p)
     _add_ecc_flags(p)
     p.set_defaults(func=_cmd_compare)
 
@@ -693,14 +652,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modules-per-vendor", type=int, default=2)
     p.add_argument("--rows", type=int, default=96)
     p.add_argument("--seed", type=int, default=2016)
-    p.add_argument("--jobs", type=_int_arg(0), default=1,
-                   help="worker processes (results are identical "
-                        "for any value)")
     p.add_argument("--csv", metavar="FILE",
                    help="write per-module rows as CSV")
-    _add_obs_flags(p)
-    _add_resilience_flags(p)
-    _add_robust_flags(p)
+    _add_campaign_flags(p)
     p.set_defaults(func=_cmd_fleet)
 
     p = sub.add_parser("report",
@@ -724,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-dir", required=True, metavar="DIR",
                    help="durable state: queue journal, per-campaign "
                         "checkpoints, shutdown trace")
-    p.add_argument("--jobs", type=_int_arg(0), default=1,
+    p.add_argument("--jobs", type=_int_arg(1), default=1,
                    help="worker processes per shard (>= 2 enables "
                         "the hung-target watchdog)")
     p.add_argument("--shard-size", type=int, default=4, metavar="N",

@@ -12,11 +12,10 @@ overhead.
 """
 
 from .compare import MitigationReport, compare_mitigations
-from .ecc import CLASSES, EccReport, SecDedCode, ecc_coverage
+from .ecc import CLASSES, EccReport, classify, ecc_coverage
 from .retire import RetirementReport, row_retirement
 
 __all__ = [
     "CLASSES", "EccReport", "MitigationReport", "RetirementReport",
-    "SecDedCode", "compare_mitigations", "ecc_coverage",
-    "row_retirement",
+    "classify", "compare_mitigations", "ecc_coverage", "row_retirement",
 ]

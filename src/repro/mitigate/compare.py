@@ -20,7 +20,7 @@ from typing import List
 
 from ..core.detector import ParborResult
 from ..dram.chip import DramChip
-from .ecc import EccReport, SecDedCode, ecc_coverage
+from .ecc import EccReport, ecc_coverage
 from .retire import RetirementReport, row_retirement
 
 __all__ = ["MitigationReport", "compare_mitigations"]
@@ -49,20 +49,18 @@ class MitigationReport:
                  f"{r.overhead:.1%}"] for r in self.rows]
 
 
-def compare_mitigations(chip: DramChip, result: ParborResult,
-                        code: SecDedCode = SecDedCode()
+def compare_mitigations(chip: DramChip, result: ParborResult
                         ) -> MitigationReport:
     """Build the mechanism comparison from a campaign's failure map.
 
     Args:
         chip: the characterised chip (for geometry).
         result: the PARBOR campaign against it.
-        code: ECC geometry for the SEC-DED row.
 
     Returns:
         A :class:`MitigationReport`.
     """
-    ecc = ecc_coverage(result.detected, code)
+    ecc = ecc_coverage(result.detected)
     retirement = row_retirement(result.detected, n_chips=1,
                                 n_banks=chip.n_banks,
                                 n_rows=chip.n_rows)

@@ -15,54 +15,34 @@ The three-way classification is reconciled with the bit-exact code:
 ``tests/ecc/test_secded.py`` proves every single-bit error decodes
 ``CORRECTED``, every double-bit error ``DETECTED``, and that
 miscorrections only ever arise at three or more simultaneous errors -
-exactly the bands :meth:`SecDedCode.classify` assigns from the count
-alone.
+exactly the bands :func:`classify` assigns from the count alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Iterable, Tuple
 
-__all__ = ["CLASSES", "SecDedCode", "EccReport", "ecc_coverage"]
+__all__ = ["CLASSES", "EccReport", "classify", "ecc_coverage"]
 
 Coord = Tuple[int, int, int, int]
 
-#: :meth:`SecDedCode.classify` bands, in increasing severity.
+#: :func:`classify` bands, in increasing severity.
 CLASSES = ("clean", "correctable", "detect-only", "miscorrection-prone")
 
 
-@dataclass(frozen=True)
-class SecDedCode:
-    """An ECC geometry: data bits per word and check-bit overhead."""
+def classify(errors_in_word: int) -> str:
+    """Three-way severity class of a word by vulnerable-cell count.
 
-    data_bits: int = 64
-    check_bits: int = 8
-
-    @property
-    def storage_overhead(self) -> float:
-        return self.check_bits / self.data_bits
-
-    def correctable(self, errors_in_word: int) -> bool:
-        return errors_in_word <= 1
-
-    def classify(self, errors_in_word: int) -> str:
-        """Three-way severity class of a word by vulnerable-cell count.
-
-        ``"correctable"`` (one cell: the decoder fixes it),
-        ``"detect-only"`` (two: guaranteed detected, never silently
-        wrong, but uncorrectable), ``"miscorrection-prone"`` (three or
-        more: the syndrome can alias a single-bit column and the
-        decoder then corrupts a healthy cell).  Zero cells is
-        ``"clean"``.
-        """
-        if errors_in_word <= 0:
-            return "clean"
-        if errors_in_word == 1:
-            return "correctable"
-        if errors_in_word == 2:
-            return "detect-only"
-        return "miscorrection-prone"
+    ``"correctable"`` (one cell: the decoder fixes it),
+    ``"detect-only"`` (two: guaranteed detected, never silently wrong,
+    but uncorrectable), ``"miscorrection-prone"`` (three or more: the
+    syndrome can alias a single-bit column and the decoder then
+    corrupts a healthy cell).  Zero cells is ``"clean"``.  The bands
+    are count-based on purpose: miscorrection-prone is a worst case,
+    and a decode would need the vendor's secret column order.
+    """
+    return CLASSES[min(max(errors_in_word, 0), 3)]
 
 
 @dataclass
@@ -77,7 +57,6 @@ class EccReport:
             but not fixed.
         miscorrection_prone_words: words with three or more - the
             decoder may silently corrupt a healthy cell.
-        code: the ECC geometry analysed.
     """
 
     total_vulnerable_cells: int
@@ -85,7 +64,6 @@ class EccReport:
     correctable_words: int
     detect_only_words: int
     miscorrection_prone_words: int
-    code: SecDedCode
 
     @property
     def uncorrectable_words(self) -> int:
@@ -101,18 +79,19 @@ class EccReport:
 
     @property
     def storage_overhead(self) -> float:
-        return self.code.storage_overhead
+        """Check bits per data bit of the (72, 64) code: 0.125."""
+        from ..ecc.secded import CHECK_BITS, DATA_BITS
+        return CHECK_BITS / DATA_BITS
 
 
 def ecc_coverage(detected: Iterable[Coord],
-                 code: SecDedCode = SecDedCode(),
                  quarantine=None) -> EccReport:
     """Analyse a detected-failure map under a word-level ECC.
 
     Args:
         detected: (chip, bank, row, sys_col) failure coordinates, as
-            produced by a PARBOR campaign.
-        code: ECC geometry.
+            produced by a PARBOR campaign; words are groups of
+            ``DATA_BITS`` system columns.
         quarantine: optional :class:`repro.robust.QuarantineSet`;
             unstable cells are counted as vulnerable too - an
             intermittent cell still consumes the word's single
@@ -122,6 +101,9 @@ def ecc_coverage(detected: Iterable[Coord],
     Returns:
         An :class:`EccReport`.
     """
+    # Imported here so that ``import repro``, which loads this
+    # package, does not also load the on-die ECC stack of repro.ecc.
+    from ..ecc.secded import DATA_BITS
     cells = set(detected)
     if quarantine:
         cells |= set(quarantine.reasons)
@@ -129,15 +111,14 @@ def ecc_coverage(detected: Iterable[Coord],
     total = 0
     for chip, bank, row, col in cells:
         total += 1
-        key = (chip, bank, row, col // code.data_bits)
+        key = (chip, bank, row, col // DATA_BITS)
         words[key] = words.get(key, 0) + 1
 
     tally = {name: 0 for name in CLASSES}
     for n in words.values():
-        tally[code.classify(n)] += 1
+        tally[classify(n)] += 1
     return EccReport(total_vulnerable_cells=total,
                      words_with_failures=len(words),
                      correctable_words=tally["correctable"],
                      detect_only_words=tally["detect-only"],
-                     miscorrection_prone_words=tally["miscorrection-prone"],
-                     code=code)
+                     miscorrection_prone_words=tally["miscorrection-prone"])

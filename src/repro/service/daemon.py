@@ -115,8 +115,19 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.shard_size < 1:
+            raise ValueError("shard_size must be >= 1")
         if self.max_queued_targets < 1:
             raise ValueError("max_queued_targets must be >= 1")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        if self.shard_retries < 0:
+            raise ValueError("shard_retries must be >= 0")
+        if self.timeout_s is not None and not self.timeout_s > 0:
+            raise ValueError("timeout_s must be positive")
+        if (self.max_tenant_failures is not None
+                and self.max_tenant_failures < 0):
+            raise ValueError("max_tenant_failures must be >= 0")
         if self.resume_mode not in (True, "verify"):
             raise ValueError('resume_mode must be True or "verify"')
 

@@ -4,18 +4,17 @@ import pytest
 
 from repro.core import ParborConfig, run_parbor
 from repro.dram import vendor
-from repro.mitigate import (CLASSES, SecDedCode, compare_mitigations,
+from repro.mitigate import (CLASSES, classify, compare_mitigations,
                             ecc_coverage, row_retirement)
 
 
 class TestClassify:
     def test_bands(self):
-        code = SecDedCode()
-        assert code.classify(0) == "clean"
-        assert code.classify(1) == "correctable"
-        assert code.classify(2) == "detect-only"
+        assert classify(0) == "clean"
+        assert classify(1) == "correctable"
+        assert classify(2) == "detect-only"
         for n in (3, 4, 17):
-            assert code.classify(n) == "miscorrection-prone"
+            assert classify(n) == "miscorrection-prone"
 
     def test_classes_ordered_by_severity(self):
         assert CLASSES == ("clean", "correctable", "detect-only",
@@ -66,16 +65,8 @@ class TestEcc:
         assert report.coverage == 1.0
 
     def test_storage_overhead(self):
-        assert SecDedCode().storage_overhead == 0.125
+        assert ecc_coverage(set()).storage_overhead == 0.125
         assert ecc_coverage(set()).coverage == 1.0
-
-    def test_wider_words_group_more_errors(self):
-        detected = {(0, 0, 0, 5), (0, 0, 0, 120)}
-        narrow = ecc_coverage(detected, SecDedCode(data_bits=64))
-        wide = ecc_coverage(detected, SecDedCode(data_bits=128,
-                                                 check_bits=9))
-        assert narrow.uncorrectable_words == 0
-        assert wide.uncorrectable_words == 1
 
 
 class TestRetirement:

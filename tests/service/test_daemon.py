@@ -39,6 +39,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ServiceConfig(socket_path="s", state_dir="d",
                           resume_mode="later")
+        for field, value in (("shard_size", 0), ("retries", -1),
+                             ("shard_retries", -2), ("timeout_s", 0.0),
+                             ("max_tenant_failures", -1)):
+            with pytest.raises(ValueError, match=field):
+                ServiceConfig(socket_path="s", state_dir="d",
+                              **{field: value})
 
 
 def test_overload_rejected_with_retry_after_then_accepted(tmp_path):

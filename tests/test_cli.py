@@ -38,6 +38,17 @@ class TestParser:
         assert "--rounds" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["characterize", "compare", "fleet"])
+    @pytest.mark.parametrize("flag, value", [("--max-failures", "-1"),
+                                             ("--timeout", "0"),
+                                             ("--timeout", "-2.5")])
+    def test_resilience_flags_are_bounded(self, command, flag, value,
+                                          capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["characterize", "compare", "fleet"])
     def test_quarantine_out_needs_rounds_before_any_campaign(
             self, command, monkeypatch, tmp_path):
         import repro.runtime
@@ -109,6 +120,19 @@ class TestNewCommands:
         assert rc == 0
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("module,budget")
+
+    def test_fleet_with_every_target_failed_exits_1(self, capsys,
+                                                    tmp_path):
+        csv_path = tmp_path / "fleet.csv"
+        rc = main(["fleet", "--modules-per-vendor", "1", "--rows", "32",
+                   "--timeout", "0.01", "--max-failures", "5",
+                   "--csv", str(csv_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "0/3 targets ok, 3 failed" in captured.err
+        # What completed (nothing) is still rendered, CSV included.
+        assert "Module" in captured.out
+        assert csv_path.read_text().startswith("module,budget")
 
     def test_plan(self, capsys, tmp_path):
         out = tmp_path / "p.json"
