@@ -86,7 +86,8 @@ def _run_campaign(args: argparse.Namespace, specs, render) -> int:
 
     The one path of ``characterize``, ``compare`` and ``fleet``:
     refuse inconsistent campaign options before any campaign runs, add
-    the ``--ecc``/``--ecc-recover`` twin of the first spec, and run the
+    the ``--ecc``/``--ecc-recover`` twin of the first spec (refused the
+    same way when its spec is impossible), and run the
     fleet with the resilience options.  Under ``--trace``/``--metrics``
     every spec is marked ``trace=True`` and the run happens inside a
     parent observability session: in-process targets record into it
@@ -109,9 +110,13 @@ def _run_campaign(args: argparse.Namespace, specs, render) -> int:
     if getattr(args, "ecc", False) or getattr(args, "ecc_recover", False):
         from .ecc import EccCampaignSpec
         mode = "recover" if args.ecc_recover else "lens"
-        specs = specs + [EccCampaignSpec(
-            ecc=mode, **{f.name: getattr(specs[0], f.name)
-                         for f in dataclasses.fields(specs[0])})]
+        try:
+            twin = EccCampaignSpec(
+                ecc=mode, **{f.name: getattr(specs[0], f.name)
+                             for f in dataclasses.fields(specs[0])})
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}") from None
+        specs = specs + [twin]
     observed = args.trace or args.metrics
     if observed:
         specs = [dataclasses.replace(s, trace=True) for s in specs]
@@ -615,8 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("characterize",
                        help="locate a vendor's neighbour distances")
     p.add_argument("--vendor", choices=["A", "B", "C"], default="A")
-    p.add_argument("--rows", type=int, default=128)
-    p.add_argument("--sample", type=int, default=2000)
+    p.add_argument("--rows", type=_int_arg(1), default=128)
+    p.add_argument("--sample", type=_int_arg(0), default=2000)
     p.add_argument("--seed", type=int, default=2016)
     _add_campaign_flags(p)
     _add_ecc_flags(p)
@@ -625,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare",
                        help="PARBOR vs equal-budget random test")
     p.add_argument("--vendor", choices=["A", "B", "C"], default="A")
-    p.add_argument("--rows", type=int, default=96)
+    p.add_argument("--rows", type=_int_arg(1), default=96)
     p.add_argument("--seed", type=int, default=2016)
     _add_campaign_flags(p)
     _add_ecc_flags(p)
@@ -644,13 +649,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vendor", choices=["A", "B", "C"], default="A")
     p.add_argument("--background", choices=["solid", "checker"],
                    default="solid")
-    p.add_argument("--rows", type=int, default=64)
+    p.add_argument("--rows", type=_int_arg(1), default=64)
     p.add_argument("--seed", type=int, default=2016)
     p.set_defaults(func=_cmd_march)
 
     p = sub.add_parser("fleet", help="Figure 12 fleet comparison")
-    p.add_argument("--modules-per-vendor", type=int, default=2)
-    p.add_argument("--rows", type=int, default=96)
+    p.add_argument("--modules-per-vendor", type=_int_arg(1), default=2)
+    p.add_argument("--rows", type=_int_arg(1), default=96)
     p.add_argument("--seed", type=int, default=2016)
     p.add_argument("--csv", metavar="FILE",
                    help="write per-module rows as CSV")
@@ -723,8 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vendors", nargs="+", choices=["A", "B", "C"],
                    default=["A"], metavar="V",
                    help="one spec per vendor (A B C)")
-    p.add_argument("--rows", type=int, default=64)
-    p.add_argument("--sample", type=int, default=1000)
+    p.add_argument("--rows", type=_int_arg(1), default=64)
+    p.add_argument("--sample", type=_int_arg(0), default=1000)
     p.add_argument("--seed", type=int, default=2016)
     p.add_argument("--sweep", action="store_true",
                    help="include the full verification sweep")
@@ -747,8 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate the release dataset (per-module "
                             "campaign JSONs + fleet CSV)")
     p.add_argument("--out", default="dataset")
-    p.add_argument("--modules-per-vendor", type=int, default=6)
-    p.add_argument("--rows", type=int, default=96)
+    p.add_argument("--modules-per-vendor", type=_int_arg(1), default=6)
+    p.add_argument("--rows", type=_int_arg(1), default=96)
     p.add_argument("--seed", type=int, default=2016)
     p.set_defaults(func=_cmd_dataset)
 

@@ -131,6 +131,13 @@ def _by_test(parts, n_waits: int):
     return tests[order], rows[order], phys[order]
 
 
+def _fold_waits(parts, n_rows: int):
+    """Concatenate ``(tests, rows, phys)`` parts into ``(wait * n_rows
+    + row, phys)`` arrays: one row space for a chunk of waits."""
+    return (np.concatenate([t * n_rows + r for t, r, _ in parts]),
+            np.concatenate([p for _, _, p in parts]))
+
+
 class Bank:
     """A 2-D array of DRAM cells with coupling and fault populations.
 
@@ -437,20 +444,9 @@ class Bank:
             ``(tests, rows, sys_cols)``, grouped by test in test
             order, each test's coordinates in single-wait order.
         """
-        n_tests = 1 if images is None else len(images.data)
-        every = [slice(None)] * 4
-        sel_rows, sel_phys, pos_rows, pos_phys, bounds = \
-            self._positions(every)
-        if images is None:
-            planes = self._charge_planes(pos_rows, pos_phys, None)
-        else:
-            planes = images.planes(pos_rows, pos_phys, self.mapping,
-                                   self.anti_rows)
+        sel_rows, sel_phys, chunks = self._bank_waits(images, reseed)
         parts = []
-        n_coins = len(self.coupled)
-        for t0, draws, failing in self._wait_chunks(
-                every, lambda t: self._rng.random(n_coins), planes, bounds,
-                n_tests, reseed):
+        for t0, draws, failing in chunks:
             events, noise = self._events(draws, failing, sel_rows, sel_phys)
             tests, rows, phys = _by_test(events + noise, len(draws))
             parts.append((tests + t0, rows, phys))
@@ -460,6 +456,30 @@ class Bank:
         if images is None:
             return rows, sys_cols
         return tests, rows, sys_cols
+
+    def retention_word_errors(self) -> Tuple[np.ndarray, np.ndarray]:
+        """One whole-bank retention wait, kept as post-ECC word masks.
+
+        The wait of :meth:`retention_failures` without images - the
+        same draws and the same pre-ECC events - decoded by the
+        attached stage's lens decode
+        (:meth:`~repro.ecc.OnDieEcc.decode_read`, which counts and
+        publishes like :meth:`~repro.ecc.OnDieEcc.transform_read`)
+        without ever becoming coordinates.  Returns ``(keys,
+        observed)``: per word with a nonzero raw error mask, its key
+        ``row * (row_bits // 64) + word`` (ascending) and its
+        post-correction ``uint64`` error mask over physical in-word
+        bits.  The BEER probe reads use it.
+        """
+        if self.ecc is None or self.ecc.code is None:
+            raise ValueError("word error masks need an on-die ECC code")
+        sel_rows, sel_phys, chunks = self._bank_waits(None, None)
+        (_, draws, failing), = chunks
+        events, noise = self._raw_events(draws, failing, sel_rows,
+                                         sel_phys)
+        return self.ecc.decode_read(*_fold_waits(events, self.n_rows),
+                                    *_fold_waits(noise, self.n_rows),
+                                    self.row_bits)
 
     def retention_read_rows(self, rows: np.ndarray) -> np.ndarray:
         """One retention wait, read back as system-order row data.
@@ -617,6 +637,28 @@ class Bank:
             out[t0:t0 + len(draws)] = self._corrupted(
                 events, noise, targets, len(draws))[:, check_coord]
         return out if images is not None else out[0]
+
+    def _bank_waits(self, images: Optional["PatternImages"],
+                    reseed: Optional[Callable[[int], None]]):
+        """Whole-bank retention waits, one per image (or one).
+
+        Returns ``(sel_rows, sel_phys, chunks)``: every cell of every
+        population, and the :meth:`_wait_chunks` iterator deciding
+        them, each wait drawing a coin for every coupled cell.
+        """
+        n_tests = 1 if images is None else len(images.data)
+        every = [slice(None)] * 4
+        sel_rows, sel_phys, pos_rows, pos_phys, bounds = \
+            self._positions(every)
+        if images is None:
+            planes = self._charge_planes(pos_rows, pos_phys, None)
+        else:
+            planes = images.planes(pos_rows, pos_phys, self.mapping,
+                                   self.anti_rows)
+        n_coins = len(self.coupled)
+        return sel_rows, sel_phys, self._wait_chunks(
+            every, lambda t: self._rng.random(n_coins), planes, bounds,
+            n_tests, reseed)
 
     def _positions(self, sel):
         """The cells a wait reads the charge of.
@@ -801,8 +843,8 @@ class Bank:
             noise = self.noise.flips()
         return coins, soft, leaky[vrt], coin[marginal], noise
 
-    def _events(self, draws, failing, sel_rows, sel_phys):
-        """A chunk of waits' observable events, after the ECC stage.
+    def _raw_events(self, draws, failing, sel_rows, sel_phys):
+        """A chunk of waits' observable events, before any ECC stage.
 
         ``failing`` holds one ``(waits, cells)`` failure mask per
         population (coupled, weak, VRT, marginal) of the selected
@@ -811,27 +853,33 @@ class Bank:
         index or an array of them: the flip events (XOR semantics), in
         each wait in the order of a single read - coupled, weak,
         soft-error, VRT, marginal - and the injected noise cells (union
-        semantics).  With a real code they go through one
-        :meth:`~repro.ecc.OnDieEcc.transform_read` call, each wait's
-        rows numbered ``wait * n_rows + row`` - the same as one call
-        per wait (the stage's outputs are per word, its counters and
-        ambiguous set sums and unions over words).
+        semantics).
         """
-        rb, n = self.row_bits, self.n_rows
+        rb = self.row_bits
         hits = [(tt, r[kk], p[kk]) for (tt, kk), r, p in
                 zip(map(np.nonzero, failing), sel_rows, sel_phys)]
         events = hits[:2] + [(i, d[1] // rb, d[1] % rb)
                              for i, d in enumerate(draws)] + hits[2:]
         noise = [(i, *d[4]) for i, d in enumerate(draws)]
+        return events, noise
+
+    def _events(self, draws, failing, sel_rows, sel_phys):
+        """:meth:`_raw_events`, after the ECC stage.
+
+        With a real code the events and noise go through one
+        :meth:`~repro.ecc.OnDieEcc.transform_read` call, each wait's
+        rows numbered ``wait * n_rows + row`` - the same as one call
+        per wait (the stage's outputs are per word, its counters and
+        ambiguous set sums and unions over words).
+        """
+        events, noise = self._raw_events(draws, failing, sel_rows,
+                                         sel_phys)
         if self.ecc is None or self.ecc.code is None:
             return events, noise
-
-        def fold(parts):
-            return (np.concatenate([t * n + r for t, r, _ in parts]),
-                    np.concatenate([p for _, _, p in parts]))
-
+        n = self.n_rows
         o_rows, o_phys, on_rows, on_phys = self.ecc.transform_read(
-            *fold(events), *fold(noise), rb, n_rows=n)
+            *_fold_waits(events, n), *_fold_waits(noise, n),
+            self.row_bits, n_rows=n)
         return ([(o_rows // n, o_rows % n, o_phys)],
                 [(on_rows // n, on_rows % n, on_phys)])
 

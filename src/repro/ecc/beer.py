@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -252,14 +252,12 @@ def _probe_round(chip, seed: int, *path) -> Tuple[
     bank.write_rows(np.arange(n_rows), background)
     bank.noise = ForcedFlipNoise(probe_rows, probe_phys)
     try:
-        obs_rows, obs_sys = bank.retention_failures()
+        keys, masks = bank.retention_word_errors()
     finally:
         bank.noise = None
 
-    obs_phys = bank.mapping.sys_to_phys()[obs_sys]
     observed = np.zeros((n_rows, n_words), dtype=np.uint64)
-    np.bitwise_or.at(observed, (obs_rows, obs_phys >> 6),
-                     np.uint64(1) << (obs_phys & 63).astype(np.uint64))
+    observed.ravel()[keys] = masks
     return copies, triples, observed
 
 
@@ -287,16 +285,35 @@ def _confirmed(chip, seed: int, *path) -> Tuple[np.ndarray, np.ndarray]:
     return triples[keep], extra[keep]
 
 
-def _paired_outcomes(chip, seed: int, *path):
-    """Replica-confirmed probe outcomes of one round, in slot order.
+def _flip_relations(triples: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    """The relation mask ``{p, q, r, m}`` of every miscorrected slot
+    of :func:`_confirmed`'s ``(triples, extra)``, in slot order."""
+    flips = extra != 0
+    return extra[flips] | np.bitwise_or.reduce(
+        np.uint64(1) << triples[flips].astype(np.uint64), axis=1)
 
-    :func:`_confirmed` as ``(frozenset(triple), outcome)`` pairs, with
-    outcome ``("detect",)`` or ``("flip", bit)``.
+
+def _reduce(pivots: np.ndarray, relations: np.ndarray) -> None:
+    """Fold relation masks into an echelon table, in place.
+
+    ``pivots[b]`` is the table's relation whose highest set bit is
+    ``b``, or 0.  The batch (consumed) is eliminated top bit first,
+    one vectorised step per bit: the rows with bit ``b`` set XOR in
+    the table's pivot row there - where the table has none, the first
+    such row becomes it.  At step ``b`` no row has a bit above ``b``
+    left, so a new pivot row's highest bit is ``b``; the table's rank
+    afterwards is that of every relation folded so far.
     """
-    triples, extra = _confirmed(chip, seed, *path)
-    return [(frozenset(triple),
-             ("flip", e.bit_length() - 1) if e else ("detect",))
-            for triple, e in zip(triples.tolist(), extra.tolist())]
+    for b in range(DATA_BITS - 1, -1, -1):
+        if not len(relations):
+            return
+        has = ((relations >> np.uint64(b)) & np.uint64(1)) != 0
+        if not has.any():
+            continue
+        if not pivots[b]:
+            pivots[b] = relations[np.argmax(has)]
+        relations[has] ^= pivots[b]
+        relations = relations[relations != 0]
 
 
 def infer_ecc(chip, seed: int, max_rounds: int = 24) -> InferredEcc:
@@ -316,33 +333,22 @@ def infer_ecc(chip, seed: int, max_rounds: int = 24) -> InferredEcc:
     if bank.n_rows < COPIES or bank.row_bits % 64:
         raise ValueError(f"BEER probing needs >= {COPIES} rows and "
                          "row_bits % 64 == 0")
-    elim: Dict[int, int] = {}  # pivot bit -> eliminated relation mask
-    relations = 0
-    rounds = 0
+    pivots = np.zeros(DATA_BITS, dtype=np.uint64)
+    relations = rounds = rank = 0
     for round_idx in range(max_rounds):
         rounds += 1
-        for triple, outcome in _paired_outcomes(chip, seed, round_idx):
-            if outcome[0] != "flip":
-                continue
-            mask = 0
-            for p in triple | {outcome[1]}:
-                mask |= 1 << p
-            relations += 1
-            while mask:
-                pivot = mask.bit_length() - 1
-                if pivot in elim:
-                    mask ^= elim[pivot]
-                else:
-                    elim[pivot] = mask
-                    break
-        if len(elim) >= TARGET_RANK:
+        rel = _flip_relations(*_confirmed(chip, seed, round_idx))
+        relations += len(rel)
+        _reduce(pivots, rel)
+        rank = int(np.count_nonzero(pivots))
+        if rank >= TARGET_RANK:
             break
-    if len(elim) != TARGET_RANK:
+    if rank != TARGET_RANK:
         return InferredEcc(basis=(), relations=relations, rounds=rounds,
                            ok=False,
-                           note=f"relation rank {len(elim)} != "
+                           note=f"relation rank {rank} != "
                                 f"{TARGET_RANK} after {rounds} rounds")
-    basis, _ = _rref(_nullspace(elim.values()))
+    basis, _ = _rref(_nullspace(pivots[pivots != 0].tolist()))
     inferred = InferredEcc(basis=basis, relations=relations,
                            rounds=rounds)
     if not inferred.structurally_valid():

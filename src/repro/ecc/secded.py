@@ -22,9 +22,11 @@ injects and the BEER probes exploit.
 The packed path works on arrays of ``uint64`` data words: a word's
 data syndrome is the XOR of eight byte-indexed lookups into a
 per-code ``8 x 256`` table, and decoding maps each syndrome byte to
-a status and a flip mask.  It is the only production decoder; the
-on-die lens decodes every touched word of a read through it in one
-call.  ``tests/oracle.py`` holds the independent reference (XOR the
+a status and a flip mask.  It is the only production decoder: the
+on-die stage decodes every touched word of a read through it in one
+call, in lens mode, on BEER probe reads and in recovery (whose
+recovered decode uses the same byte tables, built from the recovered
+columns).  ``tests/oracle.py`` holds the independent reference (XOR the
 ``H`` columns of set bits one by one) that the packed path is tested
 byte-identical against.
 """
@@ -33,13 +35,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, Sequence, Tuple
 
 import numpy as np
 
+from .._kernels import _LITTLE_ENDIAN
 from ..runtime.seeds import ladder_seed
 
-__all__ = ["HammingSecDed", "decode_with_tables", "CANDIDATE_COLUMNS",
+__all__ = ["HammingSecDed", "decode_with_tables", "byte_syndrome_table",
+           "word_syndromes", "CANDIDATE_COLUMNS",
            "DATA_BITS", "CHECK_BITS", "CLEAN", "CORRECTED",
            "CORRECTED_CHECK", "DETECTED", "UNDETECTED", "MISCORRECTED",
            "NO_MATCH", "CHECK_COLUMN"]
@@ -71,6 +75,41 @@ _CHECK_SYNDROMES = ((np.arange(256) & 0x7F)
                     | ((_POP8 & 1) << 7)).astype(np.uint8)
 _BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
 _BYTE_OFFSETS = np.arange(0, 8 * 256, 256, dtype=np.intp)
+
+
+def byte_syndrome_table(columns: Sequence[int]) -> np.ndarray:
+    """Flat ``8 * 256`` syndrome table of 64 data columns.
+
+    Entry ``256*i + v`` is the syndrome of byte value ``v`` at byte
+    ``i`` of a word: the XOR of the columns of its set bits.  Works
+    for the true code's columns and for recovered ones alike.
+    """
+    cols = np.array(columns, dtype=np.uint8).reshape(8, 8)
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    table = np.zeros((8, 256), dtype=np.uint8)
+    for b in range(8):
+        table ^= np.where(bits[:, b] == 1, cols[:, b, None],
+                          0).astype(np.uint8)
+    return table.ravel()
+
+
+def word_syndromes(table: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Per ``uint64`` word, its syndrome under a
+    :func:`byte_syndrome_table`: eight byte-indexed lookups, XORed.
+
+    The eight looked-up bytes of a word are adjacent, so they are
+    read back as one ``uint64`` and XOR-folded in three shifts.
+    """
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    if _LITTLE_ENDIAN:
+        by = words.view(np.uint8).reshape(words.shape + (8,))
+    else:
+        by = ((words[..., None] >> _BYTE_SHIFTS)
+              & np.uint64(0xFF)).astype(np.uint8)
+    folded = table[by + _BYTE_OFFSETS].view(np.uint64)[..., 0]
+    for shift in (32, 16, 8):
+        folded = folded ^ (folded >> np.uint64(shift))
+    return (folded & np.uint64(0xFF)).astype(np.uint8)
 
 
 def decode_with_tables(errors: FrozenSet[int], columns: Tuple[int, ...],
@@ -206,27 +245,15 @@ class HammingSecDed:
 
     @cached_property
     def _byte_syndromes(self) -> np.ndarray:
-        """Flat ``8 * 256`` table: entry ``256*i + v`` is the data
-        syndrome of byte value ``v`` at byte ``i`` of a word (the XOR
-        of the ``H`` columns of its set bits)."""
-        cols = np.array(self.data_columns, dtype=np.uint8).reshape(8, 8)
-        bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-        table = np.zeros((8, 256), dtype=np.uint8)
-        for b in range(8):
-            table ^= np.where(bits[:, b] == 1, cols[:, b, None],
-                              0).astype(np.uint8)
-        return table.ravel()
+        return byte_syndrome_table(self.data_columns)
 
     def _data_syndromes(self, words: np.ndarray) -> np.ndarray:
         """Per word, the XOR of the ``H`` columns of its set data bits.
 
-        Eight byte-indexed table lookups per word; bit 7 of the result
-        is the word's parity, since every data column sets it.
+        Bit 7 of the result is the word's parity, since every data
+        column sets it.
         """
-        by = ((np.asarray(words, dtype=np.uint64)[..., None]
-               >> _BYTE_SHIFTS) & np.uint64(0xFF)).astype(np.intp)
-        return np.bitwise_xor.reduce(
-            self._byte_syndromes[by + _BYTE_OFFSETS], axis=-1)
+        return word_syndromes(self._byte_syndromes, words)
 
     def encode_words(self, words: np.ndarray) -> np.ndarray:
         """Check bytes for an array of 64-bit data words.
@@ -260,7 +287,7 @@ class HammingSecDed:
         status, fix = self._syndrome_actions
         return np.asarray(words, dtype=np.uint64) ^ fix[synd], status[synd]
 
-    # -- error-set decode (recovery and BEER prediction) ---------------
+    # -- error-set decode (the per-word reference form) ---------------
 
     def decode_error_set(self, errors: Iterable[int]
                          ) -> Tuple[FrozenSet[int], int]:

@@ -37,7 +37,7 @@ from ..robust.integrity import check_ecc_inference
 from ..runtime.chaos import ECC_FAULT_KINDS, corrupt_inferred_ecc
 from ..runtime.seeds import ladder_seed
 from ..runtime.specs import CampaignOutcome, CampaignSpec
-from .beer import infer_ecc, validate_inference
+from .beer import COPIES, infer_ecc, validate_inference
 from .ondie import attach_on_die_ecc
 from .secded import HammingSecDed
 
@@ -66,6 +66,10 @@ class EccCampaignSpec(CampaignSpec):
         if self.ecc not in ECC_MODES:
             raise ValueError(f"unknown ecc mode {self.ecc!r}; "
                              f"expected one of {ECC_MODES}")
+        if self.ecc == "recover" and self.n_rows < COPIES:
+            raise ValueError(f"ecc='recover' probes {COPIES} replica "
+                             f"rows for BEER and needs n_rows >= "
+                             f"{COPIES}, got {self.n_rows}")
         if self.ecc_fault:
             if self.ecc_fault not in ECC_FAULT_KINDS:
                 raise ValueError(

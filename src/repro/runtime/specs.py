@@ -145,6 +145,12 @@ class CampaignSpec:
         if self.rounds < 1:
             raise ValueError(f"rounds must be at least 1, got "
                              f"{self.rounds}")
+        if self.n_rows < 1:
+            raise ValueError(f"n_rows must be at least 1, got "
+                             f"{self.n_rows}")
+        if self.sample_size < 0:
+            raise ValueError(f"sample_size must be at least 0, got "
+                             f"{self.sample_size}")
 
     def label(self) -> str:
         return f"{self.experiment}:{self.vendor}{self.index}"

@@ -15,6 +15,7 @@ import pytest
 from repro.ecc import (EccCampaignSpec, HammingSecDed,
                        attach_on_die_ecc, infer_ecc,
                        validate_inference)
+from repro.ecc.beer import COPIES
 from repro.dram import vendor
 from repro.robust.integrity import EccInferenceError, check_ecc_inference
 from repro.runtime import ladder_seed
@@ -96,6 +97,16 @@ class TestDegradedCampaign:
         assert len(outcome.detected) > 0
         for cell in outcome.detected:
             assert outcome.quarantine.reasons[cell] == "ecc-unrecovered"
+
+
+def test_recover_refuses_too_few_probe_rows():
+    """BEER plants every probe slot in three replica rows; a recover
+    spec that cannot is refused when it is built, not at run time."""
+    fields = dict(KW, n_rows=COPIES - 1)
+    with pytest.raises(ValueError, match="n_rows"):
+        EccCampaignSpec(**fields, ecc="recover")
+    EccCampaignSpec(**fields, ecc="lens")
+    EccCampaignSpec(**dict(KW, n_rows=COPIES), ecc="recover")
 
 
 def test_fault_requires_recover_mode():

@@ -66,12 +66,17 @@ plan, for the chaos suite's quarantine assertions.
 The on-die ECC stage has its oracles here too, for
 ``tests/ecc/test_packed_differential.py`` and
 ``tests/ecc/test_secded.py``: :func:`lens_transform_read` decodes a
-read word by word with ``decode_error_set``,
+read word by word with ``decode_error_set``;
+:func:`recover_transform_read` inverts a recovery-mode read word by
+word (:func:`recover_word`: three ``decode_error_set`` passes,
+candidate sets, verification with ``decode_with_tables``);
 :func:`beer_probe_round` / :func:`beer_paired_outcomes` group and
 classify (:func:`beer_classify`) BEER probe observations as dicts of
-frozensets, :func:`validate_inference` predicts held-out slots one at
-a time, and :func:`encode_ref` / :func:`decode_ref` XOR ``H`` columns
-bit by bit.
+frozensets, read as coordinates through ``retention_failures``;
+:func:`infer_ecc` eliminates their relations one Python int at a time
+(:func:`eliminate`), :func:`validate_inference` predicts held-out
+slots one at a time, and :func:`encode_ref` / :func:`decode_ref` XOR
+``H`` columns bit by bit.
 """
 
 import math
@@ -93,9 +98,10 @@ from repro.dram.bank import Bank
 from repro.dram.cells import NO_NEIGHBOUR, CoupledCellPopulation
 from repro.dram.controller import MemoryController
 from repro.dram.faults import ForcedFlipNoise, RandomFaultModel
-from repro.ecc.beer import (COPIES, EccInferenceReport, InferredEcc,
+from repro.ecc.beer import (COPIES, TARGET_RANK, EccInferenceReport,
+                            InferredEcc, _nullspace, _rref,
                             beer_backgrounds)
-from repro.ecc.ondie import OnDieEcc
+from repro.ecc.ondie import COMPANION_PASSES, OnDieEcc
 from repro.ecc.secded import (CHECK_BITS, CHECK_COLUMN, CLEAN, CORRECTED,
                               CORRECTED_CHECK, DETECTED, MISCORRECTED,
                               UNDETECTED, HammingSecDed,
@@ -115,9 +121,10 @@ __all__ = ["write_rows", "write_rows_patched", "evaluate_failures",
            "level_tally", "retention_failures",
            "test_patterns", "verdict", "robust_sweep", "campaign_fold",
            "oracle_substrate",
-           "injected_cells", "lens_transform_read",
+           "injected_cells", "lens_transform_read", "recover_word",
+           "recover_transform_read",
            "beer_probe_round", "beer_classify", "beer_paired_outcomes",
-           "validate_inference", "encode_ref",
+           "eliminate", "infer_ecc", "validate_inference", "encode_ref",
            "decode_ref"]
 
 
@@ -1103,6 +1110,125 @@ def lens_transform_read(ecc: OnDieEcc, rows: np.ndarray, phys: np.ndarray,
             noise_rows[no_noise], noise_phys[no_noise])
 
 
+# -- on-die ECC recovery -----------------------------------------------------
+
+
+def recover_word(code: HammingSecDed, tables, errs: FrozenSet[int]
+                 ) -> Tuple[Set[int], Set[int]]:
+    """Invert one word's post-correction observations, set by set.
+
+    The per-word image of recovery-mode :meth:`OnDieEcc._invert`:
+    the three probe passes decoded against the true ``code``, every
+    candidate pre-image of a pass with nonzero recovered syndrome,
+    each verified against all three observations with the recovered
+    ``tables`` (``(columns, lookup)``).  Returns ``(real_cells,
+    uncertain_cells)`` as in-word bit sets: one verified candidate is
+    the raw set; several claim their intersection and leave their
+    symmetric difference uncertain; none surrender all 64 bits.
+    """
+    cols, lookup = tables
+    observations = []
+    for companions in COMPANION_PASSES:
+        observed, _ = code.decode_error_set(errs | companions)
+        observations.append((observed, companions))
+    candidates = set()
+    for observed, companions in observations:
+        syndrome = 0
+        for p in observed:
+            syndrome ^= cols[p]
+        if syndrome != 0:
+            candidates.add(observed - companions)
+            if companions & observed:
+                candidates.add(observed)
+    verified = [
+        cand for cand in candidates
+        if all(decode_with_tables(cand | comp, cols, lookup)[0] == obs_
+               for obs_, comp in observations)]
+    if len(verified) == 1:
+        return set(verified[0]), set()
+    if verified:
+        common = set.intersection(*(set(v) for v in verified))
+        spread = set.union(*(set(v) for v in verified)) - common
+        return common, spread
+    return set(), set(range(64))
+
+
+def recover_transform_read(ecc: OnDieEcc, rows: np.ndarray,
+                           phys: np.ndarray, noise_rows: np.ndarray,
+                           noise_phys: np.ndarray, row_bits: int,
+                           n_rows: Optional[int] = None
+                           ) -> Tuple[np.ndarray, np.ndarray,
+                                      np.ndarray, np.ndarray]:
+    """Per-word image of recovery-mode :meth:`OnDieEcc.transform_read`.
+
+    Groups the inputs by 64-bit word and inverts each multi-input word
+    with a nonempty error set through :func:`recover_word`.  Recovered
+    words keep their inputs verbatim; an ambiguous word's inputs are
+    dropped, its real cells appended (word-ascending, bit-ascending)
+    and its uncertain cells added to ``ecc.ambiguous``.  Updates
+    ``ecc.counts`` and flushes the ``profile.ecc.*`` obs counters like
+    the stage does.
+    """
+    assert ecc.recovery is not None, "recovery oracle only"
+    if ecc.code is None or (not len(rows) and not len(noise_rows)):
+        return rows, phys, noise_rows, noise_phys
+    if row_bits % 64:
+        raise ValueError("on-die ECC needs row_bits % 64 == 0")
+    n_words = np.int64(row_bits >> 6)
+    rows = rows.astype(np.int64, copy=False)
+    phys = phys.astype(np.int64, copy=False)
+    noise_rows = noise_rows.astype(np.int64, copy=False)
+    noise_phys = noise_phys.astype(np.int64, copy=False)
+    ekey = rows * n_words + (phys >> np.int64(6))
+    nkey = noise_rows * n_words + (noise_phys >> np.int64(6))
+    words, wcounts = np.unique(np.concatenate([ekey, nkey]),
+                               return_counts=True)
+    c = ecc.counts
+    keep_events = np.ones(len(rows), dtype=bool)
+    keep_noise = np.ones(len(noise_rows), dtype=bool)
+    add_rows: List[np.ndarray] = []
+    add_phys: List[np.ndarray] = []
+
+    n_single = int((wcounts == 1).sum())
+    c["words"] += n_single
+    c["recovered_words"] += n_single
+    tables = ecc.recovery.tables()
+    for w in words[wcounts != 1].tolist():
+        ei = np.flatnonzero(ekey == w)
+        ni = np.flatnonzero(nkey == w)
+        row = int(w // n_words)
+        word_base = int(w % n_words) << 6
+        odd = np.bincount(phys[ei] & 63, minlength=64) & 1
+        errs = set(np.flatnonzero(odd).tolist())
+        errs.update((noise_phys[ni] & 63).tolist())
+        if not errs:
+            continue
+        c["words"] += 1
+        reals, unsure = recover_word(ecc.code, tables, frozenset(errs))
+        if not unsure:
+            c["recovered_words"] += 1
+            continue
+        c["ambiguous_cells"] += len(unsure)
+        bank_row = row % n_rows if n_rows else row
+        for p in unsure:
+            ecc.ambiguous.add((bank_row, word_base + p))
+        keep_events[ei] = False
+        keep_noise[ni] = False
+        if reals:
+            add_rows.append(np.full(len(reals), row, dtype=np.int64))
+            add_phys.append(np.array([word_base + p for p in sorted(reals)],
+                                     dtype=np.int64))
+    if obs.enabled():
+        for name, value in ecc.counts.items():
+            delta = value - ecc._flushed[name]
+            if delta:
+                obs.inc(f"profile.ecc.{name}", delta)
+            ecc._flushed[name] = value
+    return (np.concatenate([rows[keep_events], *add_rows]),
+            np.concatenate([phys[keep_events], *add_phys]),
+            noise_rows[keep_noise], noise_phys[keep_noise])
+
+
 # -- BEER probing -----------------------------------------------------------
 
 
@@ -1171,10 +1297,12 @@ def beer_classify(observed: FrozenSet[int], triple: FrozenSet[int]
 
 
 def beer_paired_outcomes(chip, seed: int, *path):
-    """Per-slot image of :func:`repro.ecc.beer._paired_outcomes`.
+    """Per-slot image of :func:`repro.ecc.beer._confirmed`.
 
     A slot's outcome counts only when all ``COPIES`` decoupled copies
-    classify identically and none is dirty.
+    classify identically and none is dirty.  Returns
+    ``(frozenset(triple), outcome)`` pairs in slot order, with outcome
+    ``("detect",)`` or ``("flip", bit)``.
     """
     slots, triples, observed = beer_probe_round(chip, seed, *path)
     bank = chip.banks[0]
@@ -1194,6 +1322,63 @@ def beer_paired_outcomes(chip, seed: int, *path):
             if outcome[0] != "dirty":
                 outcomes.append((triple, outcome))
     return outcomes
+
+
+def eliminate(elim: Dict[int, int], outcomes) -> int:
+    """Fold one round's flip outcomes into ``elim``, one at a time.
+
+    ``elim`` maps a pivot bit to the eliminated relation mask whose
+    highest set bit it is.  Each ``("flip", m)`` outcome of a triple
+    is the relation ``triple | {m}``, reduced against the table until
+    it vanishes or claims a new pivot.  Returns the number of flip
+    relations folded.
+    """
+    relations = 0
+    for triple, outcome in outcomes:
+        if outcome[0] != "flip":
+            continue
+        mask = 0
+        for p in triple | {outcome[1]}:
+            mask |= 1 << p
+        relations += 1
+        while mask:
+            pivot = mask.bit_length() - 1
+            if pivot in elim:
+                mask ^= elim[pivot]
+            else:
+                elim[pivot] = mask
+                break
+    return relations
+
+
+def infer_ecc(chip, seed: int, max_rounds: int = 24) -> InferredEcc:
+    """Per-relation image of :func:`repro.ecc.beer.infer_ecc`.
+
+    Probe rounds through :func:`beer_paired_outcomes`, relations
+    eliminated by :func:`eliminate`, until rank
+    :data:`~repro.ecc.beer.TARGET_RANK`.
+    """
+    elim: Dict[int, int] = {}
+    relations = rounds = 0
+    for round_idx in range(max_rounds):
+        rounds += 1
+        relations += eliminate(elim, beer_paired_outcomes(chip, seed,
+                                                          round_idx))
+        if len(elim) >= TARGET_RANK:
+            break
+    if len(elim) != TARGET_RANK:
+        return InferredEcc(basis=(), relations=relations, rounds=rounds,
+                           ok=False,
+                           note=f"relation rank {len(elim)} != "
+                                f"{TARGET_RANK} after {rounds} rounds")
+    basis, _ = _rref(_nullspace(elim.values()))
+    inferred = InferredEcc(basis=basis, relations=relations,
+                           rounds=rounds)
+    if not inferred.structurally_valid():
+        return InferredEcc(basis=basis, relations=relations,
+                           rounds=rounds, ok=False,
+                           note="structurally invalid basis")
+    return inferred
 
 
 def validate_inference(chip, inferred: InferredEcc, seed: int,

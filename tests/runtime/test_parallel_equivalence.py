@@ -181,6 +181,16 @@ def test_invalid_arguments_rejected():
         CampaignSpec(experiment="nonsense", vendor="A")
 
 
+@pytest.mark.parametrize("field, value", [("n_rows", 0), ("n_rows", -3),
+                                          ("sample_size", -1)])
+def test_impossible_geometry_refused_at_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        CampaignSpec(experiment="characterize", vendor="A",
+                     **{field: value})
+    CampaignSpec(experiment="characterize", vendor="A", n_rows=1,
+                 sample_size=0)
+
+
 def test_stats_merge_matches_outcome_sum(serial_baseline):
     merged = Stats.merge(o.stats for o in serial_baseline.outcomes)
     assert merged.tests == serial_baseline.stats.tests

@@ -81,6 +81,10 @@ class TestSpecRoundTrip:
          "invalid spec: rounds"),
         ({"experiment": "characterize", "vendor": "A", "rounds": -1},
          "invalid spec: rounds"),
+        ({"experiment": "characterize", "vendor": "A", "n_rows": 0},
+         "invalid spec: n_rows"),
+        ({"experiment": "characterize", "vendor": "A",
+          "sample_size": -1}, "invalid spec: sample_size"),
     ])
     def test_strict_validation(self, payload, match):
         with pytest.raises(ProtocolError, match=match):

@@ -48,6 +48,48 @@ class TestParser:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, "--rows", value)
+        for command in ("characterize", "compare", "fleet", "march",
+                        "dataset")
+        for value in ("0", "-4")] + [
+        ("characterize", "--sample", "-1"),
+        ("fleet", "--modules-per-vendor", "0"),
+        ("dataset", "--modules-per-vendor", "-1")])
+    def test_geometry_flags_are_bounded(self, command, flag, value,
+                                        capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--rows", "0"),
+                                             ("--sample", "-1")])
+    def test_submit_geometry_flags_are_bounded(self, flag, value,
+                                               capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["submit", "--socket", "s",
+                                       flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_sample_zero_is_accepted(self):
+        assert build_parser().parse_args(
+            ["characterize", "--sample", "0"]).sample == 0
+
+    def test_recover_twin_refused_before_any_campaign(
+            self, monkeypatch, capsys):
+        import repro.runtime
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr(repro.runtime, "run_fleet", no_campaign)
+        with pytest.raises(SystemExit,
+                           match="^error: ecc='recover'.*n_rows >= 3"):
+            main(["characterize", "--vendor", "A", "--rows", "2",
+                  "--sample", "50", "--ecc-recover"])
+
     @pytest.mark.parametrize("command", ["characterize", "compare", "fleet"])
     def test_quarantine_out_needs_rounds_before_any_campaign(
             self, command, monkeypatch, tmp_path):
