@@ -8,9 +8,9 @@ onto healthy cells.  This package models that lens bit-exactly and
 then recovers the view back:
 
 * :mod:`repro.ecc.secded` - the (72,64) extended-Hamming SEC-DED code
-  itself (overall-parity row carries the double-error detection):
-  parity-check matrix, packed-word and reference encode/decode paths,
-  and the sparse error-set decode the substrate uses.
+  type (overall-parity row carries the double-error detection): the
+  device's secret code and a BEER-recovered one alike, each 64 data
+  columns with one packed decode of data-bit error masks.
 * :mod:`repro.ecc.ondie` - the per-bank read-path stage
   (:class:`OnDieEcc`) in lens, recovery, and null-code modes.
 * :mod:`repro.ecc.beer` - BEER-style inference of the secret
@@ -24,17 +24,16 @@ then recovers the view back:
 from .beer import (EccInferenceReport, InferredEcc, beer_backgrounds,
                    infer_ecc, validate_inference)
 from .ondie import COMPANION_PASSES, OnDieEcc, attach_on_die_ecc
-from .secded import (CLEAN, CORRECTED, CORRECTED_CHECK, DETECTED,
-                     MISCORRECTED, UNDETECTED, HammingSecDed,
-                     decode_with_tables)
+from .secded import (CLEAN, CORRECTED, DETECTED, MISCORRECTED,
+                     UNDETECTED, HammingSecDed)
 from .spec import (ECC_MODES, EccCampaignSpec, EccDistortion,
                    ecc_distortion, format_distortion)
 
 __all__ = [
-    "CLEAN", "CORRECTED", "CORRECTED_CHECK", "DETECTED",
+    "CLEAN", "CORRECTED", "DETECTED",
     "MISCORRECTED", "UNDETECTED", "COMPANION_PASSES", "ECC_MODES",
     "EccCampaignSpec", "EccDistortion", "EccInferenceReport",
     "HammingSecDed", "InferredEcc", "OnDieEcc", "attach_on_die_ecc",
-    "beer_backgrounds", "decode_with_tables", "ecc_distortion",
+    "beer_backgrounds", "ecc_distortion",
     "format_distortion", "infer_ecc", "validate_inference",
 ]

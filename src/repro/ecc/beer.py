@@ -32,7 +32,7 @@ contamination.
 
 Inference is validated fail-closed: structural checks (rank 8, 64
 distinct nonzero recovered columns) plus held-out probe rounds whose
-observed outcomes must match the recovered tables' predictions
+observed outcomes must match the recovered code's predictions
 exactly.  Campaigns consume the result only through
 :func:`repro.robust.integrity.check_ecc_inference`.
 """
@@ -49,7 +49,7 @@ from .._kernels import popcount
 from ..core.patterns import checkerboard, solid
 from ..dram.faults import ForcedFlipNoise
 from ..runtime.seeds import ladder_seed
-from .secded import DATA_BITS, CHECK_BITS, HammingSecDed, NO_MATCH
+from .secded import DATA_BITS, CHECK_BITS, HammingSecDed
 
 __all__ = ["InferredEcc", "EccInferenceReport", "infer_ecc",
            "validate_inference", "beer_backgrounds", "TARGET_RANK"]
@@ -142,30 +142,19 @@ class InferredEcc:
     note: str = ""
 
     @cached_property
-    def _tables(self) -> Tuple[Tuple[int, ...], np.ndarray]:
-        cols = tuple(
-            sum(((self.basis[i] >> p) & 1) << i
-                for i in range(len(self.basis)))
-            for p in range(DATA_BITS))
-        lookup = np.full(256, NO_MATCH, dtype=np.int16)
-        for p, col in enumerate(cols):
-            if col and lookup[col] == NO_MATCH:
-                lookup[col] = p
-        return cols, lookup
-
-    def tables(self) -> Tuple[Tuple[int, ...], np.ndarray]:
-        """Recovered ``(columns, syndrome lookup)`` decode tables."""
-        return self._tables
+    def code(self) -> Optional[HammingSecDed]:
+        """The recovered code (:meth:`HammingSecDed.from_basis`), or
+        None when the basis' columns are not 64 distinct nonzero
+        bytes."""
+        try:
+            return HammingSecDed.from_basis(self.basis)
+        except ValueError:
+            return None
 
     def structurally_valid(self) -> bool:
         """Rank-8 basis with 64 distinct nonzero recovered columns."""
-        if len(self.basis) != CHECK_BITS:
-            return False
-        rref, _ = _rref(self.basis)
-        if len(rref) != CHECK_BITS:
-            return False
-        cols, _ = self._tables
-        return 0 not in cols and len(set(cols)) == DATA_BITS
+        return (len(self.basis) == CHECK_BITS and self.code is not None
+                and len(_rref(self.basis)[0]) == CHECK_BITS)
 
     def matches(self, code: HammingSecDed) -> bool:
         """Does the basis span exactly the true code's rowspace?"""
@@ -275,8 +264,7 @@ def _confirmed(chip, seed: int, *path) -> Tuple[np.ndarray, np.ndarray]:
     (0 for a detect).
     """
     copies, triples, observed = _probe_round(chip, seed, *path)
-    t = np.bitwise_or.reduce(
-        np.uint64(1) << triples.astype(np.uint64), axis=1)
+    t = _triple_masks(triples)
     o = np.stack([observed[r, w] for r, w in copies])
     extra = o[0] & ~t
     confirmed = ((o == o[0]).all(axis=0) & ((o[0] & t) == t)
@@ -289,8 +277,13 @@ def _flip_relations(triples: np.ndarray, extra: np.ndarray) -> np.ndarray:
     """The relation mask ``{p, q, r, m}`` of every miscorrected slot
     of :func:`_confirmed`'s ``(triples, extra)``, in slot order."""
     flips = extra != 0
-    return extra[flips] | np.bitwise_or.reduce(
-        np.uint64(1) << triples[flips].astype(np.uint64), axis=1)
+    return extra[flips] | _triple_masks(triples[flips])
+
+
+def _triple_masks(triples: np.ndarray) -> np.ndarray:
+    """The ``uint64`` in-word mask of every ``(n, 3)`` triple row."""
+    return np.bitwise_or.reduce(
+        np.uint64(1) << triples.astype(np.uint64), axis=1)
 
 
 def _reduce(pivots: np.ndarray, relations: np.ndarray) -> None:
@@ -363,7 +356,7 @@ def validate_inference(chip, inferred: InferredEcc, seed: int,
                        ) -> EccInferenceReport:
     """Held-out behavioral validation of an inference.
 
-    Runs fresh probe rounds and requires the recovered tables to
+    Runs fresh probe rounds and requires the recovered code to
     predict every replica-confirmed outcome exactly.  Fails closed:
     a structurally-invalid basis, too few confirmable slots, or a
     single mismatch all yield ``ok=False``.
@@ -372,20 +365,15 @@ def validate_inference(chip, inferred: InferredEcc, seed: int,
         return EccInferenceReport(
             ok=False, reason=inferred.note or "structurally invalid",
             inferred=inferred)
-    cols, lookup = inferred.tables()
-    cols = np.asarray(cols, dtype=np.int64)
     checked = mismatches = 0
     for round_idx in range(rounds):
         triples, extra = _confirmed(chip, seed, "validate", round_idx)
-        # Decode every triple with the recovered tables.  A
-        # structurally valid basis has 64 distinct nonzero columns, so
-        # no syndrome looks up a flip at zero or onto the triple's own
-        # bits: the decoder leaves the triple (detect) or flips a
-        # fourth bit (a miscorrection).
-        match = lookup[np.bitwise_xor.reduce(cols[triples], axis=1)]
-        predicted = np.where(
-            match >= 0, np.uint64(1) << np.maximum(match, 0).astype(
-                np.uint64), np.uint64(0))
+        # Decode every triple with the recovered code.  Its 64 columns
+        # are distinct and nonzero, so the decoder never flips one of
+        # the triple's own bits: it leaves the triple (detect) or
+        # flips a fourth bit (a miscorrection).
+        t = _triple_masks(triples)
+        predicted = inferred.code.decode_masks(t)[0] & ~t
         checked += len(triples)
         mismatches += int(np.count_nonzero(predicted != extra))
     ok = mismatches == 0 and checked >= min_checked

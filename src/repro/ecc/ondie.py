@@ -26,20 +26,22 @@ it exact and cheap (full rationale in ``docs/ECC.md``):
   written data, and hence the data-dependent failure pattern, is
   untouched).  The pre-correction error set is then re-derived by
   candidate inversion against *all three* observations, using only
-  the inferred parity-check matrix.  Any word whose pre-image is not
-  unique is surrendered to quarantine, never guessed.
+  the inferred parity-check matrix.  A word no candidate pre-image
+  verifies for is surrendered to quarantine, never guessed.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import TYPE_CHECKING, Optional, Set, Tuple
 
 import numpy as np
 
 from .. import obs
 from .._kernels import popcount, unpack_rows
-from .secded import (CLEAN, CORRECTED, CORRECTED_CHECK, DETECTED,
-                     HammingSecDed, byte_syndrome_table, word_syndromes)
+from .secded import CLEAN, CORRECTED, DETECTED, HammingSecDed
+
+if TYPE_CHECKING:
+    from .beer import InferredEcc
 
 __all__ = ["OnDieEcc", "attach_on_die_ecc"]
 
@@ -50,7 +52,6 @@ COMPANION_PASSES = (frozenset(), frozenset({0}), frozenset({1}))
 #: :data:`COMPANION_PASSES` as in-word ``uint64`` masks.
 _COMPANIONS = np.array([sum(1 << p for p in c) for c in COMPANION_PASSES],
                        dtype=np.uint64)
-_ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 class OnDieEcc:
@@ -62,29 +63,22 @@ class OnDieEcc:
             and the read path runs its collapse plumbing, but the
             transform is the identity - the differential gate proving
             the threading itself changes nothing rides on this.
-        recovery: optional BEER inference result (an object exposing
-            ``tables() -> (columns, lookup)``, see
-            :class:`repro.ecc.beer.InferredEcc`).  When present the
+        recovery: optional structurally valid BEER inference result
+            (:class:`repro.ecc.beer.InferredEcc`).  When present the
             stage runs in *recovery* mode and un-distorts each read
-            back to the raw error set; when absent it runs in *lens*
-            mode and returns the distorted post-correction view.
+            back to the raw error set, decoding with the recovered
+            code; when absent it runs in *lens* mode and returns the
+            distorted post-correction view.
     """
 
     def __init__(self, code: Optional[HammingSecDed],
-                 recovery: Optional[object] = None) -> None:
+                 recovery: Optional["InferredEcc"] = None) -> None:
+        if recovery is not None and recovery.code is None:
+            raise ValueError("recovery needs a structurally valid "
+                             "inference")
         self.code = code
         self.recovery = recovery
-        self._rec_tables = None
-        if recovery is not None:
-            # The recovered decode, packed: a byte syndrome table and
-            # the data-bit mask each syndrome's lookup flips.
-            cols, lookup = recovery.tables()
-            fix = np.zeros(len(lookup), dtype=np.uint64)
-            hit = np.flatnonzero(lookup >= 0)
-            fix[hit] = np.uint64(1) << lookup[hit].astype(np.uint64)
-            fix[0] = 0
-            self._rec_tables = (byte_syndrome_table(cols), fix)
-        #: (row, phys) cells recovery could not uniquely invert; the
+        #: (row, phys) cells recovery could not invert; the
         #: detector drains these into the campaign quarantine.
         self.ambiguous: Set[Tuple[int, int]] = set()
         self.counts = {"words": 0, "masked": 0, "miscorrections": 0,
@@ -128,7 +122,7 @@ class OnDieEcc:
         """
         if self.code is None or (not len(rows) and not len(noise_rows)):
             return rows, phys, noise_rows, noise_phys
-        if self._rec_tables is None:
+        if self.recovery is None:
             words, observed = self.decode_read(rows, phys, noise_rows,
                                                noise_phys, row_bits)
             empty = np.empty(0, dtype=np.int64)
@@ -147,8 +141,8 @@ class OnDieEcc:
         Each word's physical error set is folded into a ``uint64``
         mask (:func:`_fold`).  Check bits never decay, so the received
         syndrome of a word is its error mask's data-word syndrome, and
-        one :meth:`HammingSecDed.decode_words` call against zero check
-        bytes returns every post-correction error mask.  Lens-mode
+        one :meth:`HammingSecDed.decode_masks` call returns every
+        post-correction error mask.  Lens-mode
         :meth:`transform_read` is this decode plus the emission of the
         decoded cells, with the same counters and ``profile.ecc.*``
         metrics; BEER probe reads consume the masks directly.
@@ -165,8 +159,7 @@ class OnDieEcc:
                                 noise_phys)
         live = masks != 0
         words, masks = words[live], masks[live]
-        observed, status = self.code.decode_words(
-            masks, np.zeros(len(masks), dtype=np.uint8))
+        observed, status = self.code.decode_masks(masks)
         c = self.counts
         c["words"] += len(masks)
         # The decoder flips at most one bit per word, so each word
@@ -175,8 +168,7 @@ class OnDieEcc:
         c["miscorrections"] += np.count_nonzero(observed & ~masks)
         by_status = np.bincount(status, minlength=DETECTED + 1)
         c["corrected_words"] += int(by_status[CORRECTED])
-        c["detected_words"] += int(by_status[DETECTED]
-                                   + by_status[CORRECTED_CHECK])
+        c["detected_words"] += int(by_status[DETECTED])
         c["undetected"] += int(by_status[CLEAN])
         self._flush()
         return words, observed
@@ -246,47 +238,37 @@ class OnDieEcc:
         ``errs`` holds each word's raw error mask.  Simulates the
         three probe passes against the *true* code (the device decodes
         with its real matrix), then inverts using only the *recovered*
-        tables.  A pass whose observation has nonzero recovered
+        code.  A pass whose observation has nonzero recovered
         syndrome is proof the decoder did not act - the raw set is the
         observation itself, less its companion bit (or, when the
         companion bit was already raw, with it): up to five distinct
         candidate masks per word.  Every candidate is then verified
-        against all
-        three observations; the raw set is claimed only when the
-        verified candidates agree.
+        against all three observations.
 
         Returns ``(real, uncertain)`` in-word masks per word.  The
-        true raw set always survives verification (the recovered
-        tables are row-equivalent to the true matrix, so predicted
-        decode actions match the device exactly), so claimed cells
-        are never wrong and missed cells always land in the uncertain
-        mask: several distinct verified candidates claim their common
-        bits and leave the rest uncertain, and a word with no
-        informative pass - the physically-unrecoverable corner
-        documented in ``docs/ECC.md`` - is surrendered whole.
+        recovered code is row-equivalent to the true one, so predicted
+        decode actions match the device exactly and the true raw set
+        always verifies; a recovered decode that acts leaves syndrome
+        zero, so no other candidate can (``docs/ECC.md``, section 3).
+        A word with a verified candidate is recovered exactly; a word
+        with none - the physically-unrecoverable corner - is
+        surrendered whole.
         """
-        table, fix = self._rec_tables
-        zeros = np.zeros(len(errs) * len(_COMPANIONS), dtype=np.uint8)
-        observed = self.code.decode_words(
-            (errs[:, None] | _COMPANIONS).ravel(), zeros)[0].reshape(
-            -1, len(_COMPANIONS))
-        informative = word_syndromes(table, observed) != 0
+        recovered = self.recovery.code
+        observed = self.code.decode_masks(errs[:, None] | _COMPANIONS)[0]
+        informative = recovered.decode_masks(observed)[1] != CLEAN
         # Candidates of an informative pass: its observation without
         # and with its companion bit (one mask twice when the bit is
-        # not in it; duplicates leave the AND and OR below unchanged).
+        # not in it).
         cands = np.concatenate([observed & ~_COMPANIONS, observed], axis=1)
-        probe = cands[:, :, None] | _COMPANIONS
-        decoded = probe ^ fix[word_syndromes(table, probe)]
+        decoded = recovered.decode_masks(cands[:, :, None] | _COMPANIONS)[0]
         verified = np.tile(informative, 2) & (
             decoded == observed[:, None, :]).all(axis=2)
-        common = np.bitwise_and.reduce(np.where(verified, cands, _ALL),
-                                       axis=1)
-        union = np.bitwise_or.reduce(np.where(verified, cands, 0), axis=1)
         seen = verified.any(axis=1)
-        unique = seen & (common == union)
-        real = np.where(seen, common, 0)
-        unsure = np.where(unique, 0, np.where(seen, union & ~common, _ALL))
-        return real.astype(np.uint64), unsure.astype(np.uint64)
+        real = np.where(seen, cands[np.arange(len(cands)),
+                                    verified.argmax(axis=1)], 0)
+        return (real.astype(np.uint64),
+                np.where(seen, 0, ~np.uint64(0)).astype(np.uint64))
 
 
 def _words_per_row(row_bits: int) -> np.int64:
@@ -340,7 +322,7 @@ def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def attach_on_die_ecc(chip, code: Optional[HammingSecDed],
-                      recovery: Optional[object] = None) -> None:
+                      recovery: Optional["InferredEcc"] = None) -> None:
     """Attach one on-die ECC stage instance per bank of ``chip``."""
     for bank in chip.banks:
         bank.ecc = OnDieEcc(code, recovery=recovery)

@@ -71,6 +71,8 @@ def active() -> Optional[ObsSession]:
 
 
 def enabled() -> bool:
+    """Is an observability session active?  Instrumented code checks
+    this before building costly metric or event payloads."""
     return _ACTIVE is not None
 
 

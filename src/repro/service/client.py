@@ -84,12 +84,21 @@ def request(socket_path: str, message: Dict[str, Any],
 
 def ping(socket_path: str,
          timeout: float = DEFAULT_TIMEOUT_S) -> Dict[str, Any]:
+    """Check the daemon answers; the response carries its ``state``."""
     return request(socket_path, {"op": "ping"}, timeout=timeout)
 
 
 def submit(socket_path: str, specs: Sequence[CampaignSpec],
            tenant: str = "default", priority: int = 0,
            timeout: float = DEFAULT_TIMEOUT_S) -> Dict[str, Any]:
+    """Submit ``specs`` as one campaign of ``tenant``.
+
+    Idempotent: resubmitting the same specs attaches to the existing
+    campaign.  The response names the ``campaign`` id and its shard
+    and target counts.  A draining daemon or a full queue raises
+    :class:`ServiceRejected` (with a ``retry_after`` hint), a degraded
+    tenant :class:`ServiceError`.
+    """
     message = {"op": "submit", "tenant": tenant,
                "priority": int(priority),
                "specs": [spec_to_json(s) for s in specs]}
@@ -98,6 +107,8 @@ def submit(socket_path: str, specs: Sequence[CampaignSpec],
 
 def status(socket_path: str, campaign: Optional[str] = None,
            timeout: float = DEFAULT_TIMEOUT_S) -> Dict[str, Any]:
+    """The daemon's state, per-campaign progress (only ``campaign``'s
+    when given), tenant fair-share standing and queue counters."""
     message: Dict[str, Any] = {"op": "status"}
     if campaign is not None:
         message["campaign"] = campaign

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ecc import (COMPANION_PASSES, HammingSecDed, InferredEcc,
-                       OnDieEcc, attach_on_die_ecc)
+from repro.ecc import (COMPANION_PASSES, MISCORRECTED, HammingSecDed,
+                       InferredEcc, OnDieEcc, attach_on_die_ecc)
 from repro.ecc.beer import _rref
 from tests import oracle
 
@@ -54,8 +54,9 @@ class TestLens:
         for _ in range(500):
             triple = sorted(rng.choice(64, size=3, replace=False)
                             .tolist())
-            observed, status = CODE.decode_error_set(frozenset(triple))
-            if status == 5:  # MISCORRECTED
+            observed, status = oracle.decode_set(CODE.data_columns,
+                                                 frozenset(triple))
+            if status == MISCORRECTED:
                 rows, phys = _transform(
                     OnDieEcc(CODE), _arr([0] * 3), _arr(triple), 8192)
                 assert _cells(rows, phys) == {(0, p) for p in observed}
@@ -96,7 +97,8 @@ def _invert_word(errs):
     oracle and through production's packed ``OnDieEcc._invert``; the
     two must agree bit for bit."""
     recovery = _recovery_for(CODE)
-    reals, unsure = oracle.recover_word(CODE, recovery.tables(), errs)
+    reals, unsure = oracle.recover_word(CODE, recovery.code.data_columns,
+                                        errs)
     mask = np.array([sum(1 << p for p in errs)], dtype=np.uint64)
     real, uncertain = OnDieEcc(CODE, recovery=recovery)._invert(mask)
     assert _bits(real[0]) == reals

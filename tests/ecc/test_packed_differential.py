@@ -12,6 +12,8 @@ sets, ``profile.ecc.*`` obs counters, probe outcome lists, relation
 ranks, and the inference and validation they feed.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,38 +117,12 @@ def _exact(code):
     return InferredEcc(basis=_rref(int(m) for m in code.row_masks)[0])
 
 
-class _SkewedRecovery:
-    """Recovery tables whose lookup disagrees with their columns.
-
-    With tables whose lookup matches their columns (every
-    :class:`InferredEcc`) at most one candidate can verify: a
-    recovered decode that acts leaves syndrome zero, so a verified
-    candidate ``C`` equals ``O - c`` or ``O`` for every informative
-    pass's observation ``O`` and companion ``c``, and the two choices
-    of one pass never both verify.  The stage takes any object with
-    ``tables()``, so this one - the exact columns, and a lookup that
-    sends about half the syndromes to bit 0 or 1 - reaches the
-    several-verified-candidates branch.
-    """
-
-    def __init__(self, code, seed):
-        cols, _ = _exact(code).tables()
-        rng = np.random.default_rng(ladder_seed(seed, "skewed-lookup"))
-        lookup = np.where(rng.random(256) < 0.5,
-                          rng.integers(0, 2, size=256), -1)
-        self._tables = cols, lookup.astype(np.int16)
-
-    def tables(self):
-        return self._tables
-
-
 RECOVERIES = {
     "exact": _exact,
     # A full-rank but wrong basis: the inversion mispredicts, and the
     # packed pass must mispredict exactly like the per-word loop.
     "wrong-matrix": lambda code: corrupt_inferred_ecc(
         _exact(code), "wrong-matrix", seed=2),
-    "skewed-lookup": lambda code: _SkewedRecovery(code, 0),
 }
 
 
@@ -191,7 +167,8 @@ def _word_cases(code, recovery, rows, phys, noise_rows, noise_phys,
         if not word:
             cases["cancelled"] += 1
             continue
-        reals, unsure = oracle.recover_word(code, recovery.tables(), word)
+        reals, unsure = oracle.recover_word(
+            code, recovery.code.data_columns, word)
         if not unsure:
             cases["unique"] += 1
         elif unsure == set(range(DATA_BITS)):
@@ -214,7 +191,7 @@ def _dense_read(rng):
     Events and part of the noise come from a small cell pool, so
     words collect several inputs and repeated events cancel; two more
     words each take both companion bits 0 and 1 plus two other bits,
-    the words where a pass's two candidates can both verify.
+    the words where a companion pass has two distinct candidates.
     """
     n_pool = int(rng.integers(1, 40))
     pool_rows = rng.integers(0, 16, size=n_pool)
@@ -235,7 +212,9 @@ def _dense_read(rng):
 @pytest.mark.parametrize("v", sorted(CODES))
 def test_recovery_matches_oracle_on_dense_reads(v):
     """Seeded reads that reach every way a multi-input word settles,
-    in several-reads-per-call form (rows ``read * n_rows + row``)."""
+    in several-reads-per-call form (rows ``read * n_rows + row``).
+    No word has several verified candidates (see
+    :func:`test_inversion_matches_oracle_exhaustively`)."""
     code = CODES[v]
     totals = dict.fromkeys(("unique", "several", "none", "cancelled"), 0)
     for kind in sorted(RECOVERIES):
@@ -245,12 +224,42 @@ def test_recovery_matches_oracle_on_dense_reads(v):
         for _ in range(60):
             read = _dense_read(rng)
             _run_recovery_both(code, recovery, read, n_rows=8)
-            cases = _word_cases(code, recovery, *read)
-            if isinstance(recovery, InferredEcc):
-                assert not cases["several"]
-            for case, n in cases.items():
+            for case, n in _word_cases(code, recovery, *read).items():
                 totals[case] += n
+    assert not totals.pop("several")
     assert all(totals.values()), totals
+
+
+def _small_words():
+    """The in-word bits of every error word of weight 1 to 3, and of
+    every weight-4 word holding both companion bits 0 and 1."""
+    sets = [bits for k in (1, 2, 3) for bits in combinations(range(64), k)]
+    sets += [(0, 1, *pair) for pair in combinations(range(2, 64), 2)]
+    return sets
+
+
+@pytest.mark.parametrize("kind", sorted(RECOVERIES))
+@pytest.mark.parametrize("v", sorted(CODES))
+def test_inversion_matches_oracle_exhaustively(v, kind):
+    """The single-candidate rule: over every small error word, the
+    packed inversion equals the per-word oracle bit for bit, and the
+    oracle never settles a word by several verified candidates."""
+    code = CODES[v]
+    recovery = RECOVERIES[kind](code)
+    sets = _small_words()
+    masks = np.array([sum(1 << p for p in bits) for bits in sets],
+                     dtype=np.uint64)
+    real, unsure = OnDieEcc(code, recovery=recovery)._invert(masks)
+    all_bits = set(range(DATA_BITS))
+    want_real, want_unsure = [], []
+    for bits in sets:
+        reals, unsures = oracle.recover_word(
+            code, recovery.code.data_columns, frozenset(bits))
+        assert unsures in (set(), all_bits), bits
+        want_real.append(sum(1 << p for p in reals))
+        want_unsure.append(sum(1 << p for p in unsures))
+    assert real.tolist() == want_real
+    assert unsure.tolist() == want_unsure
 
 
 # -- BEER -----------------------------------------------------------------

@@ -1,20 +1,22 @@
 """Bit-exactness of the (72, 64) SEC-DED code.
 
-These are the hypothesis tests backing the mitigation classifier's
-three bands: every single-bit error corrects, every double-bit error
-detects without correction, and miscorrections arise only at three or
-more simultaneous errors.  The packed word-wise path is also pinned
-byte-identical to the independent column-by-column reference path in
+These are the tests backing the mitigation classifier's three bands,
+run exhaustively on the one packed decode of error masks: every
+single-bit error corrects, every double-bit error detects without
+correction, and miscorrections arise only at three or more
+simultaneous errors.  The packed decode is also pinned to the
+independent column-by-column reference ``decode_ref`` in
 ``tests/oracle.py``.
 """
+
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ecc import (CLEAN, CORRECTED, CORRECTED_CHECK, DETECTED,
-                       MISCORRECTED, UNDETECTED, HammingSecDed)
-from tests.oracle import decode_ref, encode_ref
+from repro.ecc import CLEAN, CORRECTED, DETECTED, HammingSecDed
+from tests.oracle import decode_ref
 
 CODES = {
     "standard": HammingSecDed.standard(),
@@ -23,15 +25,37 @@ CODES = {
     "C": HammingSecDed.for_vendor("C", 0),
 }
 
-words_strategy = st.lists(
-    st.integers(min_value=0, max_value=2**64 - 1), min_size=1,
-    max_size=16).map(lambda ws: np.array(ws, dtype=np.uint64))
+#: The check columns of the device construction: the 7 Hamming checks
+#: and the overall-parity row.
+CHECK_COLUMNS = tuple((1 << j) | 0x80 for j in range(7)) + (0x80,)
+
+
+def _masks(weight):
+    """Every 64-bit error mask of one weight, as ``uint64``."""
+    return np.array([sum(1 << p for p in bits)
+                     for bits in combinations(range(64), weight)],
+                    dtype=np.uint64)
+
+
+def _bits(masks):
+    """Dense 0/1 rows of shape (n, 64) of ``uint64`` masks."""
+    return ((masks[:, None] >> np.arange(64, dtype=np.uint64))
+            & np.uint64(1)).astype(np.uint8)
+
+
+def _decode_both(code, masks):
+    """The packed decode, checked equal to the reference decode."""
+    observed, status = code.decode_masks(masks)
+    ref_bits, ref_status = decode_ref(code, _bits(masks))
+    assert np.array_equal(_bits(observed), ref_bits)
+    assert np.array_equal(status, ref_status)
+    return observed, status
 
 
 class TestConstruction:
     def test_columns_distinct_with_parity_row(self):
         for code in CODES.values():
-            cols = code.data_columns + code.check_columns
+            cols = code.data_columns + CHECK_COLUMNS
             assert len(set(cols)) == 72
             # Every H column participates in the overall-parity row,
             # so a double-bit error's syndrome has that bit clear and
@@ -49,110 +73,68 @@ class TestConstruction:
 
     def test_bad_columns_rejected(self):
         good = HammingSecDed.standard().data_columns
-        with pytest.raises(ValueError):
-            HammingSecDed(good[:63] + (good[0],))   # duplicate
-        with pytest.raises(ValueError):
-            HammingSecDed(good[:63] + (0x01,))      # parity bit unset
+        for bad in (good[:63] + (good[0],),   # duplicate
+                    good[:63] + (0,),         # zero
+                    good[:63] + (0x100,),     # wider than 8 bits
+                    good[:63]):               # too few
+            with pytest.raises(ValueError):
+                HammingSecDed(bad)
+
+    def test_from_basis_inverts_row_masks(self):
+        for code in CODES.values():
+            assert HammingSecDed.from_basis(code.row_masks) == code
 
 
 class TestRoundTrip:
-    @given(words=words_strategy)
+    @given(masks=st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                          min_size=1, max_size=16))
     @settings(max_examples=50, deadline=None)
-    def test_decode_encode_identity(self, words):
-        """decode(encode(w)) is the identity with CLEAN status."""
-        code = CODES["A"]
-        checks = code.encode_words(words)
-        out, status = code.decode_words(words, checks)
-        assert np.array_equal(out, words)
-        assert (status == CLEAN).all()
-
-    @given(words=words_strategy)
-    @settings(max_examples=50, deadline=None)
-    def test_packed_matches_reference(self, words):
-        """The packed path is byte-identical to the reference path."""
-        code = CODES["B"]
-        bits = ((words[:, None] >> np.arange(64, dtype=np.uint64))
-                & np.uint64(1)).astype(np.uint8)
-        assert np.array_equal(code.encode_words(words),
-                              encode_ref(code, bits))
-        checks = code.encode_words(words)
-        out_w, st_w = code.decode_words(words, checks)
-        out_b, st_b = decode_ref(code, bits, checks)
-        packed_ref = (out_b.astype(np.uint64)
-                      << np.arange(64, dtype=np.uint64)).sum(axis=1)
-        assert np.array_equal(out_w, packed_ref)
-        assert np.array_equal(st_w, st_b)
-
-    @given(words=words_strategy,
-           bit=st.integers(min_value=0, max_value=63))
-    @settings(max_examples=50, deadline=None)
-    def test_single_bit_corrected(self, words, bit):
-        code = CODES["C"]
-        checks = code.encode_words(words)
-        corrupted = words ^ (np.uint64(1) << np.uint64(bit))
-        out, status = code.decode_words(corrupted, checks)
-        assert np.array_equal(out, words)
-        assert (status == CORRECTED).all()
-
-    @given(words=words_strategy,
-           bits=st.sets(st.integers(min_value=0, max_value=63),
-                        min_size=2, max_size=2))
-    @settings(max_examples=50, deadline=None)
-    def test_double_bit_detected_not_corrected(self, words, bits):
-        code = CODES["A"]
-        checks = code.encode_words(words)
-        corrupted = words.copy()
-        for b in bits:
-            corrupted ^= np.uint64(1) << np.uint64(b)
-        out, status = code.decode_words(corrupted, checks)
-        assert (status == DETECTED).all()
-        # Detected-not-corrected: the decoder must not touch the data.
-        assert np.array_equal(out, corrupted)
+    def test_packed_matches_reference(self, masks):
+        """Error masks of any weight decode as in the reference."""
+        for code in CODES.values():
+            _decode_both(code, np.array(masks, dtype=np.uint64))
 
 
 class TestErrorSets:
+    """The three bands, over every mask of weight 1, 2 and 3."""
+
     def test_single_error_set_corrected(self):
-        code = CODES["A"]
-        for p in range(64):
-            observed, status = code.decode_error_set(frozenset({p}))
-            assert status == CORRECTED
-            assert observed == frozenset()
+        for code in CODES.values():
+            observed, status = _decode_both(code, _masks(1))
+            assert (status == CORRECTED).all()
+            assert not observed.any()
 
     def test_double_error_set_detected(self):
-        code = CODES["A"]
-        errs = frozenset({3, 41})
-        observed, status = code.decode_error_set(errs)
-        assert status == DETECTED
-        assert observed == errs
+        masks = _masks(2)
+        for code in CODES.values():
+            observed, status = _decode_both(code, masks)
+            assert (status == DETECTED).all()
+            # Detected-not-corrected: the decoder must not touch the
+            # data.
+            assert np.array_equal(observed, masks)
 
     def test_miscorrection_needs_three_errors(self):
-        """Sweep all pairs: no double-bit pattern ever miscorrects,
-        and some triple does (the BEER signal exists)."""
-        code = CODES["A"]
-        for i in range(0, 64, 7):
-            for j in range(i + 1, 64, 5):
-                _, status = code.decode_error_set(frozenset({i, j}))
-                assert status == DETECTED
-        seen = set()
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            triple = frozenset(
-                rng.choice(64, size=3, replace=False).tolist())
-            _, status = code.decode_error_set(triple)
-            assert status in (DETECTED, MISCORRECTED, CORRECTED_CHECK,
-                              UNDETECTED)
-            seen.add(status)
-        assert MISCORRECTED in seen
+        """No clean, single or double error ever gains a bit; some
+        triple does (the BEER signal exists)."""
+        triples = _masks(3)
+        for code in CODES.values():
+            observed, status = code.decode_masks(np.zeros(1, np.uint64))
+            assert observed[0] == 0 and status[0] == CLEAN
+            for weight in (1, 2):
+                masks = _masks(weight)
+                assert not (code.decode_masks(masks)[0] & ~masks).any()
+            assert (code.decode_masks(triples)[0] & ~triples).any()
 
     def test_miscorrection_flips_healthy_bit(self):
-        code = CODES["A"]
-        rng = np.random.default_rng(11)
-        for _ in range(500):
-            triple = frozenset(
-                rng.choice(64, size=3, replace=False).tolist())
-            observed, status = code.decode_error_set(triple)
-            if status == MISCORRECTED:
-                extra = observed - triple
-                assert len(extra) == 1 and triple < observed
-                return
-        pytest.fail("no miscorrecting triple found in 500 draws")
+        """A triple the decoder acts on keeps all three errors and
+        gains exactly one healthy bit: it is never corrected."""
+        masks = _masks(3)
+        for code in CODES.values():
+            observed, status = code.decode_masks(masks)
+            acted = status == CORRECTED
+            assert acted.any()
+            assert np.array_equal(observed[acted] & masks[acted],
+                                  masks[acted])
+            extra = observed[acted] & ~masks[acted]
+            assert (extra != 0).all()
+            assert not (extra & (extra - np.uint64(1))).any()

@@ -65,18 +65,18 @@ plan, for the chaos suite's quarantine assertions.
 
 The on-die ECC stage has its oracles here too, for
 ``tests/ecc/test_packed_differential.py`` and
-``tests/ecc/test_secded.py``: :func:`lens_transform_read` decodes a
-read word by word with ``decode_error_set``;
-:func:`recover_transform_read` inverts a recovery-mode read word by
-word (:func:`recover_word`: three ``decode_error_set`` passes,
-candidate sets, verification with ``decode_with_tables``);
+``tests/ecc/test_secded.py``: :func:`decode_set` decodes one word's
+error set against a code's columns; :func:`lens_transform_read`
+decodes a read word by word with it; :func:`recover_transform_read`
+inverts a recovery-mode read word by word (:func:`recover_word`: three
+:func:`decode_set` passes under the true code, candidate sets,
+verification under the recovered columns);
 :func:`beer_probe_round` / :func:`beer_paired_outcomes` group and
 classify (:func:`beer_classify`) BEER probe observations as dicts of
 frozensets, read as coordinates through ``retention_failures``;
 :func:`infer_ecc` eliminates their relations one Python int at a time
 (:func:`eliminate`), :func:`validate_inference` predicts held-out
-slots one at a time, and :func:`encode_ref` / :func:`decode_ref` XOR
-``H`` columns bit by bit.
+slots one at a time, and :func:`decode_ref` decodes dense bit rows.
 """
 
 import math
@@ -102,10 +102,8 @@ from repro.ecc.beer import (COPIES, TARGET_RANK, EccInferenceReport,
                             InferredEcc, _nullspace, _rref,
                             beer_backgrounds)
 from repro.ecc.ondie import COMPANION_PASSES, OnDieEcc
-from repro.ecc.secded import (CHECK_BITS, CHECK_COLUMN, CLEAN, CORRECTED,
-                              CORRECTED_CHECK, DETECTED, MISCORRECTED,
-                              UNDETECTED, HammingSecDed,
-                              decode_with_tables)
+from repro.ecc.secded import (CLEAN, CORRECTED, DETECTED, MISCORRECTED,
+                              UNDETECTED, HammingSecDed)
 from repro.robust.quarantine import QuarantineSet
 from repro.robust.verdicts import (DEFINITE, PROBABILISTIC, UNSTABLE,
                                    CellVerdicts, RoundsPolicy)
@@ -121,11 +119,11 @@ __all__ = ["write_rows", "write_rows_patched", "evaluate_failures",
            "level_tally", "retention_failures",
            "test_patterns", "verdict", "robust_sweep", "campaign_fold",
            "oracle_substrate",
-           "injected_cells", "lens_transform_read", "recover_word",
+           "injected_cells", "decode_set", "lens_transform_read",
+           "recover_word",
            "recover_transform_read",
            "beer_probe_round", "beer_classify", "beer_paired_outcomes",
-           "eliminate", "infer_ecc", "validate_inference", "encode_ref",
-           "decode_ref"]
+           "eliminate", "infer_ecc", "validate_inference", "decode_ref"]
 
 
 # -- write ----------------------------------------------------------------
@@ -1020,6 +1018,29 @@ def injected_cells(spec) -> set:
 # -- on-die ECC lens --------------------------------------------------------
 
 
+def decode_set(columns: Sequence[int], errors: FrozenSet[int]
+               ) -> Tuple[FrozenSet[int], int]:
+    """Decode one word's data-bit error set against a code's columns.
+
+    Check bits never decay, so the received syndrome is the XOR of the
+    columns of the failed positions.  Returns the post-correction
+    error set and the ground-truth status: ``CLEAN`` / ``UNDETECTED``
+    at syndrome zero, ``CORRECTED`` / ``MISCORRECTED`` when it matches
+    a column, ``DETECTED`` otherwise.
+    """
+    syndrome = 0
+    for p in errors:
+        syndrome ^= columns[p]
+    if syndrome == 0:
+        return errors, (CLEAN if not errors else UNDETECTED)
+    if syndrome not in columns:
+        return errors, DETECTED
+    match = columns.index(syndrome)
+    if match in errors:
+        return errors - {match}, CORRECTED
+    return errors | {match}, MISCORRECTED
+
+
 def lens_transform_read(ecc: OnDieEcc, rows: np.ndarray, phys: np.ndarray,
                         noise_rows: np.ndarray, noise_phys: np.ndarray,
                         row_bits: int
@@ -1029,7 +1050,7 @@ def lens_transform_read(ecc: OnDieEcc, rows: np.ndarray, phys: np.ndarray,
 
     Groups the inputs by 64-bit word, derives each multi-input word's
     error set (odd-count events unioned with noise), decodes it with
-    :meth:`HammingSecDed.decode_error_set` and emits its
+    :func:`decode_set` and emits its
     post-correction cells.  Single-input words are a single-cell
     error set, always corrected away.  Updates ``ecc.counts`` and
     flushes the ``profile.ecc.*`` obs counters like the stage does.
@@ -1077,12 +1098,13 @@ def lens_transform_read(ecc: OnDieEcc, rows: np.ndarray, phys: np.ndarray,
             if not errs:
                 continue
             c["words"] += 1
-            observed, status = ecc.code.decode_error_set(frozenset(errs))
+            observed, status = decode_set(ecc.code.data_columns,
+                                          frozenset(errs))
             c["masked"] += len(errs - observed)
             c["miscorrections"] += len(observed - errs)
             if status in (CORRECTED, MISCORRECTED):
                 c["corrected_words"] += 1
-            elif status in (DETECTED, CORRECTED_CHECK):
+            elif status == DETECTED:
                 c["detected_words"] += 1
             elif status == UNDETECTED:
                 c["undetected"] += 1
@@ -1113,36 +1135,35 @@ def lens_transform_read(ecc: OnDieEcc, rows: np.ndarray, phys: np.ndarray,
 # -- on-die ECC recovery -----------------------------------------------------
 
 
-def recover_word(code: HammingSecDed, tables, errs: FrozenSet[int]
-                 ) -> Tuple[Set[int], Set[int]]:
+def recover_word(code: HammingSecDed, columns: Sequence[int],
+                 errs: FrozenSet[int]) -> Tuple[Set[int], Set[int]]:
     """Invert one word's post-correction observations, set by set.
 
     The per-word image of recovery-mode :meth:`OnDieEcc._invert`:
     the three probe passes decoded against the true ``code``, every
     candidate pre-image of a pass with nonzero recovered syndrome,
     each verified against all three observations with the recovered
-    ``tables`` (``(columns, lookup)``).  Returns ``(real_cells,
-    uncertain_cells)`` as in-word bit sets: one verified candidate is
-    the raw set; several claim their intersection and leave their
-    symmetric difference uncertain; none surrender all 64 bits.
+    ``columns``.  Returns ``(real_cells, uncertain_cells)`` as in-word
+    bit sets: one verified candidate is the raw set; several claim
+    their intersection and leave their symmetric difference uncertain;
+    none surrender all 64 bits.
     """
-    cols, lookup = tables
     observations = []
     for companions in COMPANION_PASSES:
-        observed, _ = code.decode_error_set(errs | companions)
+        observed, _ = decode_set(code.data_columns, errs | companions)
         observations.append((observed, companions))
     candidates = set()
     for observed, companions in observations:
         syndrome = 0
         for p in observed:
-            syndrome ^= cols[p]
+            syndrome ^= columns[p]
         if syndrome != 0:
             candidates.add(observed - companions)
             if companions & observed:
                 candidates.add(observed)
     verified = [
         cand for cand in candidates
-        if all(decode_with_tables(cand | comp, cols, lookup)[0] == obs_
+        if all(decode_set(columns, cand | comp)[0] == obs_
                for obs_, comp in observations)]
     if len(verified) == 1:
         return set(verified[0]), set()
@@ -1192,7 +1213,7 @@ def recover_transform_read(ecc: OnDieEcc, rows: np.ndarray,
     n_single = int((wcounts == 1).sum())
     c["words"] += n_single
     c["recovered_words"] += n_single
-    tables = ecc.recovery.tables()
+    columns = ecc.recovery.code.data_columns
     for w in words[wcounts != 1].tolist():
         ei = np.flatnonzero(ekey == w)
         ni = np.flatnonzero(nkey == w)
@@ -1204,7 +1225,7 @@ def recover_transform_read(ecc: OnDieEcc, rows: np.ndarray,
         if not errs:
             continue
         c["words"] += 1
-        reals, unsure = recover_word(ecc.code, tables, frozenset(errs))
+        reals, unsure = recover_word(ecc.code, columns, frozenset(errs))
         if not unsure:
             c["recovered_words"] += 1
             continue
@@ -1387,18 +1408,18 @@ def validate_inference(chip, inferred: InferredEcc, seed: int,
     """Per-slot image of :func:`repro.ecc.beer.validate_inference`.
 
     Predicts every confirmed held-out slot one at a time: decode the
-    triple with the recovered tables, classify, compare.
+    triple with the recovered columns, classify, compare.
     """
     if not inferred.ok or not inferred.structurally_valid():
         return EccInferenceReport(
             ok=False, reason=inferred.note or "structurally invalid",
             inferred=inferred)
-    cols, lookup = inferred.tables()
+    columns = inferred.code.data_columns
     checked = mismatches = 0
     for round_idx in range(rounds):
         for triple, outcome in beer_paired_outcomes(
                 chip, seed, "validate", round_idx):
-            seen = decode_with_tables(frozenset(triple), cols, lookup)[0]
+            seen = decode_set(columns, frozenset(triple))[0]
             predicted = beer_classify(seen, triple)
             checked += 1
             if predicted != outcome:
@@ -1416,49 +1437,18 @@ def validate_inference(chip, inferred: InferredEcc, seed: int,
 # -- SEC-DED reference path ---------------------------------------------------
 
 
-def encode_ref(code: HammingSecDed, bits: np.ndarray) -> np.ndarray:
-    """Reference encode from dense 0/1 bit rows of shape (n, 64).
-
-    Derives the check byte from the column representation alone: the
-    data syndrome ``sd`` is the XOR of the columns of set data bits,
-    and the check byte must cancel it - ``c_j = sd_j`` for ``j < 7``
-    and ``c_7 = sd_7 ^ parity(c_0..c_6)``.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    out = np.zeros(len(bits), dtype=np.uint8)
-    for i, row in enumerate(bits):
-        sd = 0
-        for p in np.flatnonzero(row):
-            sd ^= code.data_columns[int(p)]
-        low = sd & 0x7F
-        c7 = ((sd >> 7) ^ bin(low).count("1")) & 1
-        out[i] = low | (c7 << 7)
-    return out
-
-
-def decode_ref(code: HammingSecDed, bits: np.ndarray, checks: np.ndarray
+def decode_ref(code: HammingSecDed, bits: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray]:
-    """Reference decode over dense 0/1 bit rows of shape (n, 64)."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    out = bits.copy()
+    """Reference decode of dense 0/1 error rows of shape (n, 64)
+    against an all-zero check byte: :func:`decode_set` row by row,
+    with the statuses the decoder itself can see (an undetected
+    pattern reads ``CLEAN``, a miscorrection ``CORRECTED``)."""
+    visible = {UNDETECTED: CLEAN, MISCORRECTED: CORRECTED}
+    out = np.zeros_like(bits, dtype=np.uint8)
     status = np.zeros(len(bits), dtype=np.uint8)
-    for i, row in enumerate(bits):
-        syndrome = 0
-        for p in np.flatnonzero(row):
-            syndrome ^= code.data_columns[int(p)]
-        c = int(checks[i])
-        for j in range(CHECK_BITS):
-            if (c >> j) & 1:
-                syndrome ^= code.check_columns[j]
-        if syndrome == 0:
-            status[i] = CLEAN
-            continue
-        match = int(code.lookup[syndrome])
-        if match >= 0:
-            out[i, match] ^= 1
-            status[i] = CORRECTED
-        elif match == CHECK_COLUMN:
-            status[i] = CORRECTED_CHECK
-        else:
-            status[i] = DETECTED
+    for i, row in enumerate(np.asarray(bits)):
+        observed, truth = decode_set(
+            code.data_columns, frozenset(np.flatnonzero(row).tolist()))
+        out[i, sorted(observed)] = 1
+        status[i] = visible.get(truth, truth)
     return out, status

@@ -7,7 +7,8 @@ import pytest
 
 PACKAGES = ["repro", "repro.core", "repro.dram", "repro.sim",
             "repro.dcref", "repro.mitigate", "repro.analysis",
-            "repro.runtime"]
+            "repro.runtime", "repro.ecc", "repro.robust", "repro.obs",
+            "repro.service"]
 
 
 @pytest.mark.parametrize("package", PACKAGES)
