@@ -63,19 +63,18 @@ class OnDieEcc:
             and the read path runs its collapse plumbing, but the
             transform is the identity - the differential gate proving
             the threading itself changes nothing rides on this.
-        recovery: optional structurally valid BEER inference result
+        recovery: optional BEER inference result
             (:class:`repro.ecc.beer.InferredEcc`).  When present the
             stage runs in *recovery* mode and un-distorts each read
             back to the raw error set, decoding with the recovered
-            code; when absent it runs in *lens* mode and returns the
+            code (an inference with no structurally valid code
+            verifies nothing, so every word it reads is surrendered);
+            when absent it runs in *lens* mode and returns the
             distorted post-correction view.
     """
 
     def __init__(self, code: Optional[HammingSecDed],
                  recovery: Optional["InferredEcc"] = None) -> None:
-        if recovery is not None and recovery.code is None:
-            raise ValueError("recovery needs a structurally valid "
-                             "inference")
         self.code = code
         self.recovery = recovery
         #: (row, phys) cells recovery could not invert; the
@@ -255,6 +254,9 @@ class OnDieEcc:
         surrendered whole.
         """
         recovered = self.recovery.code
+        if recovered is None:
+            none = np.zeros(len(errs), dtype=np.uint64)
+            return none, ~none
         observed = self.code.decode_masks(errs[:, None] | _COMPANIONS)[0]
         informative = recovered.decode_masks(observed)[1] != CLEAN
         # Candidates of an informative pass: its observation without

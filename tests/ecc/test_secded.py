@@ -25,6 +25,10 @@ CODES = {
     "C": HammingSecDed.for_vendor("C", 0),
 }
 
+words_strategy = st.lists(
+    st.integers(min_value=0, max_value=2**64 - 1), min_size=1,
+    max_size=16).map(lambda ws: np.array(ws, dtype=np.uint64))
+
 #: The check columns of the device construction: the 7 Hamming checks
 #: and the overall-parity row.
 CHECK_COLUMNS = tuple((1 << j) | 0x80 for j in range(7)) + (0x80,)
@@ -93,6 +97,28 @@ class TestRoundTrip:
         """Error masks of any weight decode as in the reference."""
         for code in CODES.values():
             _decode_both(code, np.array(masks, dtype=np.uint64))
+
+    @given(words=words_strategy,
+           bit=st.integers(min_value=0, max_value=63))
+    @settings(max_examples=50, deadline=None)
+    def test_single_bit_corrected(self, words, bit):
+        """A stored word with one flipped bit reads back intact: the
+        data read is the word XOR its post-correction error mask."""
+        masks = np.full(len(words), np.uint64(1) << np.uint64(bit))
+        observed, status = _decode_both(CODES["C"], masks)
+        assert np.array_equal(words ^ observed, words)
+        assert (status == CORRECTED).all()
+
+    @given(words=words_strategy,
+           bits=st.sets(st.integers(min_value=0, max_value=63),
+                        min_size=2, max_size=2))
+    @settings(max_examples=50, deadline=None)
+    def test_double_bit_detected_not_corrected(self, words, bits):
+        masks = np.full(len(words), np.uint64(sum(1 << b for b in bits)))
+        observed, status = _decode_both(CODES["A"], masks)
+        assert (status == DETECTED).all()
+        # Detected-not-corrected: the decoder must not touch the data.
+        assert np.array_equal(words ^ observed, words ^ masks)
 
 
 class TestErrorSets:
