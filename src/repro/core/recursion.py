@@ -253,10 +253,12 @@ def _revote_uncorroborated(controllers: Sequence[MemoryController],
     reps = min(policy.rounds, 3)
     need = reps // 2 + 1
     for (chip_idx, bank_idx), group in groups.items():
-        vi = group.victim_idx
-        tests = np.flatnonzero(suspicious[:, vi].any(axis=1))
-        if not len(tests):
+        # Only the victims some test finds suspicious take part.
+        pick = np.flatnonzero(suspicious[:, group.victim_idx].any(axis=0))
+        if not len(pick):
             continue
+        vi, row_pos = group.victim_idx[pick], group.row_pos[pick]
+        tests = np.flatnonzero(suspicious[:, vi].any(axis=1))
         ctrl = controllers[chip_idx]
         bank = ctrl.chip.banks[bank_idx]
         rows = group.unique_rows
@@ -273,7 +275,7 @@ def _revote_uncorroborated(controllers: Sequence[MemoryController],
                     break
                 run, undecided = run[live], undecided[live]
                 again = ctrl.test_regions(
-                    bank_idx, rows, (group.row_pos, group.cols),
+                    bank_idx, rows, (row_pos, group.cols[pick]),
                     np.where(undecided,
                              sub_abs[run[:, None], vi] * region_size, -1),
                     region_size, coupled_rows_only=True,
@@ -285,7 +287,7 @@ def _revote_uncorroborated(controllers: Sequence[MemoryController],
                 # test whose repetition 1 wrote it (or its repetition
                 # 2); an earlier test's repetition 2 is undone there.
                 tt, at = np.nonzero(undecided)
-                at = group.row_pos[at]
+                at = row_pos[at]
                 if rep == 1:
                     last = np.full(len(rows), -1)
                     written, final = np.unique(at[::-1], return_index=True)

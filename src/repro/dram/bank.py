@@ -125,10 +125,22 @@ def _by_test(parts, n_waits: int):
                                   for p in parts]) for i in (1, 2))
     if n_waits == 1:
         return np.broadcast_to(np.int64(0), rows.shape), rows, phys
-    tests = np.concatenate([np.broadcast_to(p[0], len(p[1]))
+    tests = np.concatenate([_tests_of(p[0], len(p[1]))
                             for p in parts]).astype(np.int64, copy=False)
     order = np.argsort(tests, kind="stable")
     return tests[order], rows[order], phys[order]
+
+
+def _tests_of(tests, keep) -> np.ndarray:
+    """A part's wait indices at the coordinates ``keep`` selects.
+
+    ``tests`` is an array or one wait index; ``keep`` a bool mask over
+    the part's coordinates, or their count to keep them all.
+    """
+    if isinstance(tests, np.ndarray):
+        return tests if isinstance(keep, int) else tests[keep]
+    return np.full(keep if isinstance(keep, int)
+                   else np.count_nonzero(keep), tests, dtype=np.int64)
 
 
 def _fold_waits(parts, n_rows: int):
@@ -627,12 +639,12 @@ class Bank:
             return (drawn[np.maximum(rank, 0)] if len(drawn)
                     else np.ones(len(rank)))
 
-        sel_rows, sel_phys, pos_rows, pos_phys, bounds = \
+        sel_rows, sel_phys, slots, pos_rows, pos_phys, bounds = \
             self._positions(sel)
         planes = self._charge_planes(pos_rows, pos_phys, images)
         out = np.empty((n_tests, len(check_enc)), dtype=bool)
         for t0, draws, failing in self._wait_chunks(
-                sel, coins, planes, bounds, n_tests, reseed):
+                sel, slots, coins, planes, bounds, n_tests, reseed):
             events, noise = self._events(draws, failing, sel_rows, sel_phys)
             out[t0:t0 + len(draws)] = self._corrupted(
                 events, noise, targets, len(draws))[:, check_coord]
@@ -648,7 +660,7 @@ class Bank:
         """
         n_tests = 1 if images is None else len(images.data)
         every = [slice(None)] * 4
-        sel_rows, sel_phys, pos_rows, pos_phys, bounds = \
+        sel_rows, sel_phys, slots, pos_rows, pos_phys, bounds = \
             self._positions(every)
         if images is None:
             planes = self._charge_planes(pos_rows, pos_phys, None)
@@ -657,32 +669,35 @@ class Bank:
                                    self.anti_rows)
         n_coins = len(self.coupled)
         return sel_rows, sel_phys, self._wait_chunks(
-            every, lambda t: self._rng.random(n_coins), planes, bounds,
-            n_tests, reseed)
+            every, slots, lambda t: self._rng.random(n_coins), planes,
+            bounds, n_tests, reseed)
 
     def _positions(self, sel):
         """The cells a wait reads the charge of.
 
         ``sel`` selects members of each population (coupled, weak,
-        VRT, marginal).  Returns ``(sel_rows, sel_phys, pos_rows,
-        pos_phys, bounds)``: per population the selected cells'
-        coordinates, then every position read - each selected coupled
-        victim's :meth:`~CoupledCellPopulation.slot_cols`, then the
-        fault cells themselves - with ``bounds`` the cumulative
-        position count per population.
+        VRT, marginal).  Returns ``(sel_rows, sel_phys, slots,
+        pos_rows, pos_phys, bounds)``: per population the selected
+        cells' coordinates; the selected victims'
+        :meth:`~CoupledCellPopulation.slots`; then every position read
+        - each selected victim's cell and aggressors, their present
+        context cells, then the fault cells themselves - with
+        ``bounds`` the cumulative position count per part.
         """
         pop = self.coupled
         populations = [(pop.row, pop.phys), *self.faults.cells()]
-        slots = pop.slot_cols()[sel[0]]
+        slots = pop.slots(sel[0])
         sel_rows = [r[s] for (r, _), s in zip(populations, sel)]
         sel_phys = [p[s] for (_, p), s in zip(populations, sel)]
-        pos_rows = np.concatenate([np.repeat(sel_rows[0], slots.shape[1]),
-                                   *sel_rows[1:]])
-        pos_phys = np.concatenate([slots.ravel(), *sel_phys[1:]])
-        bounds = np.cumsum([slots.size] + [len(r) for r in sel_rows[1:]])
-        return sel_rows, sel_phys, pos_rows, pos_phys, bounds
+        pos_rows = np.concatenate([*[sel_rows[0]] * 3,
+                                   sel_rows[0][slots.owner], *sel_rows[1:]])
+        pos_phys = np.concatenate([slots.cols.ravel(), slots.ctx,
+                                   *sel_phys[1:]])
+        bounds = np.cumsum([slots.cols.size, len(slots.ctx)]
+                           + [len(r) for r in sel_rows[1:]])
+        return sel_rows, sel_phys, slots, pos_rows, pos_phys, bounds
 
-    def _wait_chunks(self, sel, coins: Callable[[int], np.ndarray],
+    def _wait_chunks(self, sel, slots, coins: Callable[[int], np.ndarray],
                      planes, bounds: np.ndarray, n_tests: int,
                      reseed: Optional[Callable[[int], None]] = None):
         """Decide ``n_tests`` retention waits, a chunk at a time.
@@ -691,28 +706,33 @@ class Bank:
         (``reseed(t)`` first, when given; then ``coins(t)``, the
         selected coupled cells' coins; then :meth:`_draw_read`); each
         chunk of at most :data:`CHUNK_CELLS` positions x waits is then
-        decided at once from ``planes(t0, t1)``, the charge of the
-        :meth:`_positions` under each wait's image.  Yields ``(t0,
-        draws, failing)`` with one ``(waits, cells)`` failure mask per
+        decided at once (a victim counting as eight positions) from
+        ``planes(t0, t1)``, the charge of the
+        :meth:`_positions` under each wait's image, split into the
+        victims' ``slots`` and the fault cells.  Yields ``(t0, draws,
+        failing)`` with one ``(waits, cells)`` failure mask per
         population (coupled, weak, VRT, marginal).
         """
-        pop = self.coupled
-        n_slot = pop.slot_cols().shape[1]
-        step = max(1, CHUNK_CELLS // max(int(bounds[-1]), 1))
+        # A wait stacks a charge byte per position read and about eight
+        # bytes (its coin, its interference) per selected victim.
+        per_wait = int(bounds[-1]) + 8 * slots.cols.shape[1]
+        step = max(1, CHUNK_CELLS // max(per_wait, 1))
         for t0 in range(0, n_tests, step):
             t1 = min(n_tests, t0 + step)
             draws = []
+            victim_coins = np.empty((t1 - t0, slots.cols.shape[1]))
             for t in range(t0, t1):
                 if reseed is not None:
                     reseed(t)
-                draws.append(self._draw_read(coins(t), sel[2], sel[3]))
+                victim_coins[t - t0] = coins(t)
+                draws.append(self._draw_read(sel[2], sel[3]))
             charged = np.split(planes(t0, t1), bounds[:-1], axis=1)
-            failing = [pop.exposure(
-                charged[0].reshape(t1 - t0, -1, n_slot),
-                np.stack([d[0] for d in draws]), self.stress, sel[0])]
+            failing = [self.coupled.exposure(
+                slots, charged[0].reshape(t1 - t0, 3, -1), charged[1],
+                victim_coins, self.stress)]
             failing += self.faults.hits(
-                self.stress, charged[1:], np.stack([d[2] for d in draws]),
-                np.stack([d[3] for d in draws]), sel[1:])
+                self.stress, charged[2:], np.stack([d[1] for d in draws]),
+                np.stack([d[2] for d in draws]), sel[1:])
             yield t0, draws, failing
 
     def _cell_keys(self):
@@ -827,13 +847,13 @@ class Bank:
 
         return planes
 
-    def _draw_read(self, coins: np.ndarray, vrt, marginal):
+    def _draw_read(self, vrt, marginal):
         """The rest of a retention wait's draws, after its coupled coins.
 
-        Returns ``(coins, soft_flat, vrt_leaky, marginal_coin, noise)``
-        with the VRT state and marginal coins kept only for the
-        selected ``vrt`` and ``marginal`` cells, and ``noise`` the
-        ``(rows, phys)`` forced cells.
+        Returns ``(soft_flat, vrt_leaky, marginal_coin, noise)`` with
+        the VRT state and marginal coins kept only for the selected
+        ``vrt`` and ``marginal`` cells, and ``noise`` the ``(rows,
+        phys)`` forced cells.
         """
         soft, leaky, coin = self.faults.draw()
         if self.noise is None:
@@ -841,7 +861,7 @@ class Bank:
             noise = (empty, empty)
         else:
             noise = self.noise.flips()
-        return coins, soft, leaky[vrt], coin[marginal], noise
+        return soft, leaky[vrt], coin[marginal], noise
 
     def _raw_events(self, draws, failing, sel_rows, sel_phys):
         """A chunk of waits' observable events, before any ECC stage.
@@ -858,9 +878,10 @@ class Bank:
         rb = self.row_bits
         hits = [(tt, r[kk], p[kk]) for (tt, kk), r, p in
                 zip(map(np.nonzero, failing), sel_rows, sel_phys)]
-        events = hits[:2] + [(i, d[1] // rb, d[1] % rb)
-                             for i, d in enumerate(draws)] + hits[2:]
-        noise = [(i, *d[4]) for i, d in enumerate(draws)]
+        events = hits[:2] + [(i, d[0] // rb, d[0] % rb)
+                             for i, d in enumerate(draws)
+                             if len(d[0])] + hits[2:]
+        noise = [(i, *d[3]) for i, d in enumerate(draws)]
         return events, noise
 
     def _events(self, draws, failing, sel_rows, sel_phys):
@@ -902,7 +923,7 @@ class Bank:
                     key = rows * rb + p2s[phys]
                     at = np.minimum(np.searchsorted(targets, key), n_t - 1)
                     hit = targets[at] == key
-                    tests = np.broadcast_to(tests, hit.shape)[hit]
+                    tests = _tests_of(tests, hit)
                     into.append(tests * n_t + at[hit])
         counts = np.bincount(np.concatenate(at_events),
                              minlength=n_waits * n_t)

@@ -44,12 +44,12 @@ neighbourhoods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 __all__ = ["CoupledCellPopulation", "CouplingSpec", "MAX_CONTEXT",
-           "NO_NEIGHBOUR"]
+           "NO_NEIGHBOUR", "VictimSlots"]
 
 #: Sentinel for "no physical neighbour on this side" (tile edge).
 NO_NEIGHBOUR = -1
@@ -111,6 +111,28 @@ class CouplingSpec:
             raise ValueError("second_order_fraction must be in [0, 1]")
 
 
+class VictimSlots(NamedTuple):
+    """The cells a retention wait reads to decide some victims.
+
+    ``cells`` are the selected victims (an index array into the
+    population, or ``slice(None)`` for all of them; k victims).
+    ``cols`` is ``(3, k)``, slot-major so each slot's charge is one
+    contiguous row: each victim's physical column, then its left and
+    right aggressor's (an absent aggressor aliases the victim).
+    ``ctx`` lists only the present context cells, victim-major;
+    ``owner`` is each one's victim (an index into the selection).
+    ``starts`` are the offsets into ``ctx`` of the ``has_ctx``
+    victims' runs - the victims with at least one context cell.
+    """
+
+    cells: np.ndarray
+    cols: np.ndarray
+    ctx: np.ndarray
+    owner: np.ndarray
+    starts: np.ndarray
+    has_ctx: np.ndarray
+
+
 class CoupledCellPopulation:
     """Sparse struct-of-arrays population of coupled victim cells.
 
@@ -158,10 +180,9 @@ class CoupledCellPopulation:
         if min_stress is None:
             min_stress = np.zeros(n, dtype=np.float64)
         self.min_stress = np.asarray(min_stress, dtype=np.float64)
-        # Slot columns (with the absent-slot masks), built on first
-        # use - column remapping edits the neighbour arrays after
-        # construction.
-        self._slot_cols: Optional[np.ndarray] = None
+        # Slot layout, built on first use - column remapping edits the
+        # neighbour arrays after construction.
+        self._layout: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self.row)
@@ -296,59 +317,88 @@ class CoupledCellPopulation:
 
     # ------------------------------------------------------------------
 
-    def slot_cols(self) -> np.ndarray:
-        """Physical columns of every cell the evaluation reads.
+    def slots(self, cells=slice(None)) -> "VictimSlots":
+        """The cells whose charge decides the selected victims.
 
-        One ``(n, 3 + 2*MAX_CONTEXT)`` array per population, in *slot*
-        order: victim, left aggressor, right aggressor, then the
-        context cells.  Absent positions (``NO_NEIGHBOUR``) alias the
-        victim's own cell; :meth:`exposure` masks them out.  Built
-        once and cached (the coordinates are immutable).
+        ``cells`` selects victims (an index array or a slice).  Their
+        :class:`VictimSlots` list each victim, its two aggressors and
+        only its *present* context cells.  The population's layout -
+        a victim/left/right column array and a CSR list of the present
+        context cells - is built on first use, after any column
+        remapping, and cached, as is the whole-population selection.
+        An absent aggressor (a tile edge) aliases the victim's own
+        cell: a victim is disturbed only while charged, and then its
+        own cell reads as a charged, harmless neighbour.
         """
-        if self._slot_cols is None:
-            cols = np.empty((len(self), 3 + 2 * MAX_CONTEXT),
-                            dtype=np.int64)
-            cols[:, 0] = self.phys
-            cols[:, 1] = np.where(self.left_phys == NO_NEIGHBOUR,
-                                  self.phys, self.left_phys)
-            cols[:, 2] = np.where(self.right_phys == NO_NEIGHBOUR,
-                                  self.phys, self.right_phys)
-            cols[:, 3:] = np.where(self.context == NO_NEIGHBOUR,
-                                   self.phys[:, None], self.context)
-            self._slot_cols = cols
-            self._no_left = self.left_phys == NO_NEIGHBOUR
-            self._no_right = self.right_phys == NO_NEIGHBOUR
-            self._ctx_present = self.context != NO_NEIGHBOUR
-        return self._slot_cols
+        if self._layout is None:
+            aggressors = np.stack([self.left_phys, self.right_phys])
+            cols = np.concatenate([self.phys[None], np.where(
+                aggressors == NO_NEIGHBOUR, self.phys, aggressors)])
+            present = self.context != NO_NEIGHBOUR
+            ptr = np.zeros(len(self) + 1, dtype=np.int64)
+            np.cumsum(present.sum(axis=1), out=ptr[1:])
+            self._layout = (cols, ptr, self.context[present])
+            self._every = self._select(np.arange(len(self)))._replace(
+                cells=slice(None))
+        if isinstance(cells, slice):
+            if cells == slice(None):
+                return self._every
+            cells = np.arange(len(self))[cells]
+        return self._select(cells)
 
-    def exposure(self, charged: np.ndarray, coins: np.ndarray,
-                 stress: float, cells=slice(None)) -> np.ndarray:
+    def _select(self, idx: np.ndarray) -> "VictimSlots":
+        """:meth:`slots` of the victims ``idx`` (an index array)."""
+        cols, ptr, ctx = self._layout
+        idx = np.asarray(idx, dtype=np.int64)
+        counts = ptr[idx + 1] - ptr[idx]
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        # Victim-major ragged gather of each victim's context run.
+        at = np.arange(int(ends[-1]) if len(ends) else 0)
+        at += np.repeat(ptr[idx] - starts, counts)
+        has_ctx = np.flatnonzero(counts)
+        return VictimSlots(idx, cols[:, idx], ctx[at],
+                           np.repeat(np.arange(len(idx)), counts),
+                           starts[has_ctx], has_ctx)
+
+    def exposure(self, slots: "VictimSlots", charged: np.ndarray,
+                 ctx_charged: np.ndarray, coins: np.ndarray,
+                 stress: float) -> np.ndarray:
         """Which victims flip, given the charge of their slot cells.
 
         The decision rule of a retention read, over any number of
         reads at once; its dense per-cell formulation is the test-side
-        oracle in ``tests/oracle.py``.
+        oracle in ``tests/oracle.py``.  A victim flips when it is
+        charged, the coupling weights of its discharged aggressors sum
+        to at least 1, every present context cell holds the victim's
+        charge, the stress reaches its ``min_stress`` and its coin
+        falls under ``p_fail``.
 
         Args:
-            charged: bool charge of each :meth:`slot_cols` cell of the
-                selected victims, shape ``(..., k, 3 + 2*MAX_CONTEXT)``
-                - leading axes index reads.
+            slots: the selected victims' :meth:`slots`.
+            charged: bool charge of the ``slots.cols`` cells, shape
+                ``(..., 3, k)`` - leading axes index reads.
+            ctx_charged: bool charge of the ``slots.ctx`` cells, shape
+                ``(..., m)`` with the same leading axes.
             coins: the reads' ``rng.random`` coins of the selected
                 victims, shape ``(..., k)``.
             stress: retention stress of the reads.
-            cells: the selected victims (index array or slice).
 
         Returns:
             Bool ``(..., k)``: True where the victim is corrupted.
         """
-        self.slot_cols()
-        v = charged[..., 0]
-        l_charge = self._no_left[cells] | charged[..., 1]
-        r_charge = self._no_right[cells] | charged[..., 2]
-        interference = (self.w_left[cells] * (v & ~l_charge)
-                        + self.w_right[cells] * (v & ~r_charge))
-        candidate = interference >= 1.0
-        ctx_ok = (~self._ctx_present[cells]
-                  | (charged[..., 3:] == v[..., None])).all(axis=-1)
-        return (candidate & ctx_ok & (self.min_stress[cells] <= stress)
-                & (coins < self.p_fail[cells]))
+        cells = slots.cells
+        v = charged[..., 0, :]
+        interference = self.w_left[cells] * (v & ~charged[..., 1, :])
+        interference += self.w_right[cells] * (v & ~charged[..., 2, :])
+        flips = interference >= 1.0
+        flips &= self.min_stress[cells] <= stress
+        flips &= coins < self.p_fail[cells]
+        if len(slots.starts):
+            # Only a charged victim can flip, so a context cell that
+            # does not hold its charge is a discharged one: each run's
+            # minimum charge (as 0/1 bytes, faster than a bool AND).
+            held = np.minimum.reduceat(ctx_charged.view(np.uint8),
+                                       slots.starts, axis=-1)
+            flips[..., slots.has_ctx] &= held.view(bool)
+        return flips

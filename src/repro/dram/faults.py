@@ -22,6 +22,10 @@ import numpy as np
 __all__ = ["FaultSpec", "RandomFaultModel", "NoiseSpec",
            "DeviceNoiseModel", "ForcedFlipNoise"]
 
+#: Separates a noise model's coin stream from other streams of its
+#: seed: the coins come from ``default_rng([seed, COIN_TAG])``.
+COIN_TAG = 0xC01
+
 
 class ForcedFlipNoise:
     """Deterministic read-time forced corruption at fixed cells.
@@ -273,13 +277,18 @@ class DeviceNoiseModel:
                                              size=spec.n_marginal_cells)
         self.marginal_phys = pos_rng.integers(0, row_bits,
                                               size=spec.n_marginal_cells)
-        self._coin_rng = np.random.default_rng([seed, 0xC01])
+        self._coin_rng = np.random.default_rng([seed, COIN_TAG])
         #: retention reads of the bank seen so far (activation clock).
         self.reads = 0
 
-    def reseed_coins(self, seed: int) -> None:
-        """Restart the coin stream (positions and clock are kept)."""
-        self._coin_rng = np.random.default_rng([int(seed), 0xC01])
+    def reseed_coins(self, seed) -> None:
+        """Restart the coin stream (positions and clock are kept).
+
+        The stream is ``default_rng([seed, COIN_TAG])``; ``seed`` may
+        also be that generator, already built.
+        """
+        self._coin_rng = (seed if isinstance(seed, np.random.Generator)
+                          else np.random.default_rng([int(seed), COIN_TAG]))
 
     def cells(self) -> Tuple[np.ndarray, np.ndarray]:
         """Ground truth: ``(rows, phys_cols)`` of all injected cells."""
@@ -299,25 +308,21 @@ class DeviceNoiseModel:
         if self.spec.empty or self.reads <= self.spec.active_after:
             return empty, empty
         rng = self._coin_rng
-        rows_list = []
-        cols_list = []
-        if len(self.vrt_row):
-            hit = rng.random(len(self.vrt_row)) < self.spec.vrt_fail_prob
-            rows_list.append(self.vrt_row[hit])
-            cols_list.append(self.vrt_phys[hit])
-        if len(self.marginal_row):
-            hit = (rng.random(len(self.marginal_row))
-                   < self.spec.marginal_fail_prob)
-            rows_list.append(self.marginal_row[hit])
-            cols_list.append(self.marginal_phys[hit])
+        rows = np.concatenate([self.vrt_row, self.marginal_row])
+        cols = np.concatenate([self.vrt_phys, self.marginal_phys])
+        if len(rows):
+            # One draw holds the VRT coins, then the marginal ones.
+            coins = rng.random(len(rows))
+            hit = coins < self.spec.marginal_fail_prob
+            n_vrt = len(self.vrt_row)
+            hit[:n_vrt] = coins[:n_vrt] < self.spec.vrt_fail_prob
+            rows, cols = rows[hit], cols[hit]
         if self.spec.soft_error_rate > 0:
             n_cells = self.n_rows * self.row_bits
             n_soft = rng.poisson(self.spec.soft_error_rate * n_cells)
             if n_soft:
                 flat = rng.integers(0, n_cells, size=n_soft)
-                rows_list.append(flat // self.row_bits)
-                cols_list.append(flat % self.row_bits)
-        if not rows_list:
-            return empty, empty
-        return (np.concatenate(rows_list).astype(np.int64),
-                np.concatenate(cols_list).astype(np.int64))
+                rows = np.concatenate([rows, flat // self.row_bits])
+                cols = np.concatenate([cols, flat % self.row_bits])
+        return (rows.astype(np.int64, copy=False),
+                cols.astype(np.int64, copy=False))

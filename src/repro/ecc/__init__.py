@@ -24,14 +24,12 @@ then recovers the view back:
 from .beer import (EccInferenceReport, InferredEcc, beer_backgrounds,
                    infer_ecc, validate_inference)
 from .ondie import COMPANION_PASSES, OnDieEcc, attach_on_die_ecc
-from .secded import (CLEAN, CORRECTED, DETECTED, MISCORRECTED,
-                     UNDETECTED, HammingSecDed)
+from .secded import CLEAN, CORRECTED, DETECTED, HammingSecDed
 from .spec import (ECC_MODES, EccCampaignSpec, EccDistortion,
                    ecc_distortion, format_distortion)
 
 __all__ = [
-    "CLEAN", "CORRECTED", "DETECTED",
-    "MISCORRECTED", "UNDETECTED", "COMPANION_PASSES", "ECC_MODES",
+    "CLEAN", "CORRECTED", "DETECTED", "COMPANION_PASSES", "ECC_MODES",
     "EccCampaignSpec", "EccDistortion", "EccInferenceReport",
     "HammingSecDed", "InferredEcc", "OnDieEcc", "attach_on_die_ecc",
     "beer_backgrounds", "ecc_distortion",

@@ -47,7 +47,7 @@ from .._kernels import _LITTLE_ENDIAN
 from ..runtime.seeds import ladder_seed
 
 __all__ = ["HammingSecDed", "CANDIDATE_COLUMNS", "DATA_BITS", "CHECK_BITS",
-           "CLEAN", "CORRECTED", "DETECTED", "UNDETECTED", "MISCORRECTED"]
+           "CLEAN", "CORRECTED", "DETECTED"]
 
 DATA_BITS = 64
 CHECK_BITS = 8
@@ -57,14 +57,12 @@ PARITY_BIT = 0x80  # syndrome bit 7: overall parity over all 72 bits
 CANDIDATE_COLUMNS: Tuple[int, ...] = tuple(
     v for v in range(1, 128) if bin(v).count("1") >= 2)
 
-# Decode statuses (per word).  The decoder itself reports the first
-# three; the last two need the true error set, so only ground-truth
-# classification (the per-word oracle) assigns them.
+# Decode statuses (per word), as the decoder reports them.  Telling a
+# silent escape or a miscorrection apart needs the true error set, so
+# only the per-word test oracle (``tests/oracle.py``) classifies those.
 CLEAN = 0         # syndrome zero: the decoder leaves the word alone
 CORRECTED = 1     # syndrome matched a data column: that bit is flipped
 DETECTED = 2      # nonzero syndrome matched no data column: flagged only
-UNDETECTED = 3    # errors present but syndrome zero: silent escape
-MISCORRECTED = 4  # syndrome matched a *healthy* data bit and flipped it
 
 _BYTE_OFFSETS = np.arange(0, 8 * 256, 256, dtype=np.intp)
 _BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)

@@ -37,13 +37,14 @@ import numpy as np
 from .. import obs
 from ..core.patterns import inverse, solid
 from ..core.victims import CellKeys, whole_chip_failures
-from ..runtime.seeds import ladder_seed
+from ..dram.faults import COIN_TAG
+from ..runtime.seeds import ladder_seed, seeded_stream, stream_words
 from .quarantine import QuarantineSet
 from .verdicts import (UNSTABLE, VERDICTS, CellVerdicts, RoundsPolicy,
                        classify)
 
 __all__ = ["RobustSweepResult", "VoteLedger", "robust_sweep",
-           "reseed_bank", "reseed_banks"]
+           "bank_reseeds", "reseed_bank", "reseed_banks"]
 
 Coord = Tuple[int, int, int, int]  # (chip, bank, row, sys_col)
 
@@ -83,7 +84,13 @@ def reseed_bank(bank, seed: int, *path) -> None:
     bank draws its own stream and reseeding one bank never touches
     another.
     """
-    g = np.random.default_rng(ladder_seed(seed, *path))
+    _install(bank, np.random.default_rng(ladder_seed(seed, *path)),
+             None if bank.noise is None
+             else ladder_seed(seed, "noise", *path))
+
+
+def _install(bank, g: np.random.Generator, coins) -> None:
+    """Give ``bank`` the stream ``g``, and its noise model ``coins``."""
     bank._rng = g
     faults = bank.faults
     faults._rng = g
@@ -91,7 +98,30 @@ def reseed_bank(bank, seed: int, *path) -> None:
         faults.vrt_leaky = (g.random(len(faults.vrt_leaky))
                             < faults.spec.vrt_leaky_start_fraction)
     if bank.noise is not None:
-        bank.noise.reseed_coins(ladder_seed(seed, "noise", *path))
+        bank.noise.reseed_coins(coins)
+
+
+def bank_reseeds(banks: Sequence, seed: int, paths: Sequence[tuple]):
+    """``reseed(i)``: :func:`reseed_bank` ``(banks[i], seed, *paths[i])``.
+
+    Every pair's streams - the bank stream and, for a bank with a
+    noise model, its coin stream - are derived up front in one
+    :func:`~repro.runtime.seeds.stream_words` pass per kind, and
+    ``reseed(i)`` only builds the generators: the same streams as
+    :func:`reseed_bank`'s ``default_rng`` calls, at a fraction of
+    their cost on a batch of waits.
+    """
+    words = stream_words([ladder_seed(seed, *p) for p in paths])
+    noisy = [i for i, bank in enumerate(banks) if bank.noise is not None]
+    coin_words = dict(zip(noisy, stream_words(
+        [ladder_seed(seed, "noise", *paths[i]) for i in noisy], COIN_TAG)))
+
+    def reseed(i: int) -> None:
+        coins = coin_words.get(i)
+        _install(banks[i], seeded_stream(words[i]),
+                 None if coins is None else seeded_stream(coins))
+
+    return reseed
 
 
 def reseed_banks(controllers: Sequence, seed: int, *path) -> None:
@@ -236,6 +266,9 @@ def robust_sweep(controllers: Sequence, schedule,
     ledger = VoteLedger(len(polarities))
     result = RobustSweepResult()
 
+    banks = {(chip_idx, bank_idx): bank
+             for chip_idx, ctrl in enumerate(controllers)
+             for bank_idx, bank in enumerate(ctrl.chip.banks)}
     executed = np.arange(len(polarities))
     for rep in range(policy.rounds):
         if rep:
@@ -252,10 +285,14 @@ def robust_sweep(controllers: Sequence, schedule,
         result.control_rounds += len(patterns) - len(executed)
         if not len(patterns):
             continue
+        # Every (bank, test) stream of the repetition in one batch.
+        first = {where: i * len(paths) for i, where in enumerate(banks)}
+        reseed_at = bank_reseeds(
+            [bank for bank in banks.values() for _ in paths], seed,
+            [(*p, *where) for where in banks for p in paths])
 
         def reseed(chip_idx: int, bank_idx: int, t: int) -> None:
-            reseed_bank(controllers[chip_idx].chip.banks[bank_idx], seed,
-                        *paths[t], chip_idx, bank_idx)
+            reseed_at(first[chip_idx, bank_idx] + t)
 
         tests, cells = whole_chip_failures(controllers, patterns, keys,
                                            reseed)

@@ -25,9 +25,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import List, Union
+from typing import List, Optional, Sequence, Union
 
-__all__ = ["ladder_seed", "chip_seed", "module_seed", "seed_ladder"]
+import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+__all__ = ["ladder_seed", "chip_seed", "module_seed", "seed_ladder",
+           "stream_words", "seeded_stream"]
 
 PathPart = Union[int, str]
 
@@ -85,3 +89,76 @@ def seed_ladder(root_seed: int, n: int, *prefix: PathPart) -> List[int]:
     if n < 0:
         raise ValueError("n must be non-negative")
     return [ladder_seed(root_seed, *prefix, i) for i in range(n)]
+
+
+# numpy's SeedSequence hash constants.  Each hash step XORs one
+# constant in and multiplies by the next, whatever the data, so the
+# constants of every step are fixed: a chain per hash.
+def _chain(init: int, mult: int, n: int) -> np.ndarray:
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+_MIX_HASH = _chain(0x43B0D7E5, 0x931E8875, 16)
+_OUT_HASH = _chain(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_CROSS = [(s, d) for s in range(4) for d in range(4) if s != d]
+
+
+def stream_words(seeds: Sequence[int], tag: Optional[int] = None
+                 ) -> np.ndarray:
+    """The PCG64 seeding words of many ``default_rng`` streams at once.
+
+    Row ``i`` equals ``SeedSequence(seeds[i]).generate_state(4,
+    np.uint64)`` - or, with ``tag``, that of ``SeedSequence([seeds[i],
+    tag])`` - for seeds in ``[0, 2**63)`` and a tag under ``2**32``:
+    numpy's entropy mixing over a four-word pool, run on every seed as
+    one array program.  Its cost is about one ``SeedSequence`` per
+    call, so it pays from about ten seeds on.  Returns ``(n, 4)``
+    ``uint64``.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    # A seed's entropy words, least significant first.
+    pool[0] = seeds & np.uint64(0xFFFFFFFF)
+    pool[1] = seeds >> np.uint64(32)
+    if tag is not None:
+        # A seed under 2**32 is one entropy word, so the tag moves up.
+        wide = pool[1] != 0
+        pool[2] = np.where(wide, tag, 0)
+        pool[1][~wide] = tag
+    shift = np.uint32(16)
+    pool ^= _MIX_HASH[:4, None]
+    pool *= _MIX_HASH[1:5, None]
+    pool ^= pool >> shift
+    for k, (src, dst) in enumerate(_CROSS, 4):
+        h = (pool[src] ^ _MIX_HASH[k]) * _MIX_HASH[k + 1]
+        h ^= h >> shift
+        mixed = pool[dst] * _MIX_L - h * _MIX_R
+        pool[dst] = mixed ^ (mixed >> shift)
+    out = (np.tile(pool, (2, 1)) ^ _OUT_HASH[:8, None]) * _OUT_HASH[1:, None]
+    out ^= out >> shift
+    return np.ascontiguousarray(out.T).view(np.uint64)
+
+
+class _Derived(ISeedSequence):
+    """A seed sequence whose PCG64 seeding words are already known."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def seeded_stream(words: np.ndarray) -> np.random.Generator:
+    """A fresh generator from one row of :func:`stream_words`.
+
+    Bit-identical to ``default_rng`` of that row's seed: PCG64 seeds
+    itself from exactly these words.
+    """
+    return np.random.Generator(np.random.PCG64(_Derived(words)))

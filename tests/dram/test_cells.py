@@ -30,8 +30,12 @@ def manual_pop(w_left, w_right, p_fail=1.0, context=None):
 
 def flips(pop, charge, rng, stress=1.0):
     """One read's decision rule on a dense physical-order charge state."""
-    charged = charge[pop.row[:, None], pop.slot_cols()] == 1
-    return pop.exposure(charged, rng.random(len(pop)), stress)
+    slots = pop.slots()
+    rows = pop.row[slots.cells]
+    charged = charge[rows, slots.cols] == 1
+    ctx_charged = charge[rows[slots.owner], slots.ctx] == 1
+    return pop.exposure(slots, charged, ctx_charged, rng.random(len(pop)),
+                        stress)
 
 
 def charge_grid(row_bits=16):

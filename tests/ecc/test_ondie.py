@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ecc import (COMPANION_PASSES, MISCORRECTED, HammingSecDed,
-                       InferredEcc, OnDieEcc, attach_on_die_ecc)
+from repro.ecc import (COMPANION_PASSES, HammingSecDed, InferredEcc,
+                       OnDieEcc, attach_on_die_ecc)
 from repro.ecc.beer import _rref
 from tests import oracle
 
@@ -56,7 +56,7 @@ class TestLens:
                             .tolist())
             observed, status = oracle.decode_set(CODE.data_columns,
                                                  frozenset(triple))
-            if status == MISCORRECTED:
+            if status == oracle.MISCORRECTED:
                 rows, phys = _transform(
                     OnDieEcc(CODE), _arr([0] * 3), _arr(triple), 8192)
                 assert _cells(rows, phys) == {(0, p) for p in observed}

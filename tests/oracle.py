@@ -102,8 +102,7 @@ from repro.ecc.beer import (COPIES, TARGET_RANK, EccInferenceReport,
                             InferredEcc, _nullspace, _rref,
                             beer_backgrounds)
 from repro.ecc.ondie import COMPANION_PASSES, OnDieEcc
-from repro.ecc.secded import (CLEAN, CORRECTED, DETECTED, MISCORRECTED,
-                              UNDETECTED, HammingSecDed)
+from repro.ecc.secded import CLEAN, CORRECTED, DETECTED, HammingSecDed
 from repro.robust.quarantine import QuarantineSet
 from repro.robust.verdicts import (DEFINITE, PROBABILISTIC, UNSTABLE,
                                    CellVerdicts, RoundsPolicy)
@@ -1016,6 +1015,12 @@ def injected_cells(spec) -> set:
 
 
 # -- on-die ECC lens --------------------------------------------------------
+
+
+# Ground-truth word statuses beyond the decoder's CLEAN / CORRECTED /
+# DETECTED: they need the true error set, which only the oracle knows.
+UNDETECTED = 3    # errors present but syndrome zero: silent escape
+MISCORRECTED = 4  # syndrome matched a *healthy* data bit and flipped it
 
 
 def decode_set(columns: Sequence[int], errors: FrozenSet[int]

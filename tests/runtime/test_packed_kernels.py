@@ -243,15 +243,17 @@ def test_population_packed_evaluation_matches_dense(seed, row_bits):
         CouplingSpec(n_cells=400), n_rows=20, row_bits=row_bits,
         tile_bits=100, rng=rng)
     charge = _bits(rng, (20, row_bits))
-    slots = pop.slot_cols()
-    charged = gather_bits(pack_rows(charge),
-                          np.repeat(pop.row, slots.shape[1]),
-                          slots.ravel()).reshape(slots.shape) == 1
+    slots = pop.slots()
+    rows, words = pop.row[slots.cells], pack_rows(charge)
+    charged = gather_bits(words, np.tile(rows, 3),
+                          slots.cols.ravel()).reshape(slots.cols.shape) == 1
+    ctx_charged = gather_bits(words, rows[slots.owner], slots.ctx) == 1
     ref_rng = np.random.default_rng(13)
     fast_rng = np.random.default_rng(13)
     for stress in (1.0, 0.5):
         ref = oracle.evaluate_failures(pop, charge, ref_rng, stress=stress)
-        packed = pop.exposure(charged, fast_rng.random(len(pop)), stress)
+        packed = pop.exposure(slots, charged, ctx_charged,
+                              fast_rng.random(len(pop)), stress)
         assert np.array_equal(ref, packed)
     assert ref_rng.random() == fast_rng.random()
 
