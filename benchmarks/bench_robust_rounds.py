@@ -83,8 +83,6 @@ def layer_split(monkeypatch):
                         timer("robust sweep", vote.robust_sweep))
     monkeypatch.setattr(recursion, "_revote_uncorroborated",
                         timer("re-votes", recursion._revote_uncorroborated))
-    monkeypatch.setattr(vote, "reseed_bank",
-                        timer("reseeding", vote.reseed_bank))
     monkeypatch.setattr(vote, "bank_reseeds", timer(
         "reseeding", lambda *a: timer("reseeding", batched(*a))))
     runs = []

@@ -238,7 +238,7 @@ def _revote_uncorroborated(controllers: Sequence[MemoryController],
     a verdict.  Returns the ``(T, n_sample)`` vote counts (the initial
     pass included) of the suspicious observations.
     """
-    from ..robust.vote import reseed_bank
+    from ..robust.vote import bank_reseeds
 
     # Per test and victim: the child distance a failure reports, and
     # whether fewer than CORROBORATION_FLOOR failures level-wide
@@ -253,12 +253,10 @@ def _revote_uncorroborated(controllers: Sequence[MemoryController],
     reps = min(policy.rounds, 3)
     need = reps // 2 + 1
     for (chip_idx, bank_idx), group in groups.items():
-        # Only the victims some test finds suspicious take part.
-        pick = np.flatnonzero(suspicious[:, group.victim_idx].any(axis=0))
-        if not len(pick):
-            continue
-        vi, row_pos = group.victim_idx[pick], group.row_pos[pick]
+        vi = group.victim_idx
         tests = np.flatnonzero(suspicious[:, vi].any(axis=1))
+        if not len(tests):
+            continue
         ctrl = controllers[chip_idx]
         bank = ctrl.chip.banks[bank_idx]
         rows = group.unique_rows
@@ -275,19 +273,20 @@ def _revote_uncorroborated(controllers: Sequence[MemoryController],
                     break
                 run, undecided = run[live], undecided[live]
                 again = ctrl.test_regions(
-                    bank_idx, rows, (row_pos, group.cols[pick]),
+                    bank_idx, rows, (group.row_pos, group.cols),
                     np.where(undecided,
                              sub_abs[run[:, None], vi] * region_size, -1),
                     region_size, coupled_rows_only=True,
-                    reseed=lambda t: reseed_bank(
-                        bank, seed, "robust.recursion", *paths[run[t]], rep,
-                        chip_idx, bank_idx))
+                    reseed=bank_reseeds(
+                        [bank] * len(run), seed,
+                        [("robust.recursion", *paths[t], rep, chip_idx,
+                          bank_idx) for t in run]))
                 counts[run[:, None], vi] += again & undecided
                 # Test by test, a row ends with the image of the last
                 # test whose repetition 1 wrote it (or its repetition
                 # 2); an earlier test's repetition 2 is undone there.
                 tt, at = np.nonzero(undecided)
-                at = row_pos[at]
+                at = group.row_pos[at]
                 if rep == 1:
                     last = np.full(len(rows), -1)
                     written, final = np.unique(at[::-1], return_index=True)

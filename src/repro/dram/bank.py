@@ -125,22 +125,10 @@ def _by_test(parts, n_waits: int):
                                   for p in parts]) for i in (1, 2))
     if n_waits == 1:
         return np.broadcast_to(np.int64(0), rows.shape), rows, phys
-    tests = np.concatenate([_tests_of(p[0], len(p[1]))
+    tests = np.concatenate([np.broadcast_to(p[0], len(p[1]))
                             for p in parts]).astype(np.int64, copy=False)
     order = np.argsort(tests, kind="stable")
     return tests[order], rows[order], phys[order]
-
-
-def _tests_of(tests, keep) -> np.ndarray:
-    """A part's wait indices at the coordinates ``keep`` selects.
-
-    ``tests`` is an array or one wait index; ``keep`` a bool mask over
-    the part's coordinates, or their count to keep them all.
-    """
-    if isinstance(tests, np.ndarray):
-        return tests if isinstance(keep, int) else tests[keep]
-    return np.full(keep if isinstance(keep, int)
-                   else np.count_nonzero(keep), tests, dtype=np.int64)
 
 
 def _fold_waits(parts, n_rows: int):
@@ -879,8 +867,7 @@ class Bank:
         hits = [(tt, r[kk], p[kk]) for (tt, kk), r, p in
                 zip(map(np.nonzero, failing), sel_rows, sel_phys)]
         events = hits[:2] + [(i, d[0] // rb, d[0] % rb)
-                             for i, d in enumerate(draws)
-                             if len(d[0])] + hits[2:]
+                             for i, d in enumerate(draws)] + hits[2:]
         noise = [(i, *d[3]) for i, d in enumerate(draws)]
         return events, noise
 
@@ -923,7 +910,7 @@ class Bank:
                     key = rows * rb + p2s[phys]
                     at = np.minimum(np.searchsorted(targets, key), n_t - 1)
                     hit = targets[at] == key
-                    tests = _tests_of(tests, hit)
+                    tests = np.broadcast_to(tests, hit.shape)[hit]
                     into.append(tests * n_t + at[hit])
         counts = np.bincount(np.concatenate(at_events),
                              minlength=n_waits * n_t)

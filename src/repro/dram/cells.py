@@ -181,8 +181,10 @@ class CoupledCellPopulation:
             min_stress = np.zeros(n, dtype=np.float64)
         self.min_stress = np.asarray(min_stress, dtype=np.float64)
         # Slot layout, built on first use - column remapping edits the
-        # neighbour arrays after construction.
-        self._layout: Optional[tuple] = None
+        # neighbour arrays after construction: the whole population's
+        # slots and the CSR offsets of its context runs.
+        self._every: Optional[VictimSlots] = None
+        self._ptr: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.row)
@@ -322,24 +324,28 @@ class CoupledCellPopulation:
 
         ``cells`` selects victims (an index array or a slice).  Their
         :class:`VictimSlots` list each victim, its two aggressors and
-        only its *present* context cells.  The population's layout -
-        a victim/left/right column array and a CSR list of the present
-        context cells - is built on first use, after any column
-        remapping, and cached, as is the whole-population selection.
+        only its *present* context cells.  The whole population's
+        slots - a victim/left/right column array and a CSR list of the
+        present context cells - are built on first use, after any
+        column remapping, and cached; other selections gather from
+        them.
         An absent aggressor (a tile edge) aliases the victim's own
         cell: a victim is disturbed only while charged, and then its
         own cell reads as a charged, harmless neighbour.
         """
-        if self._layout is None:
+        if self._every is None:
             aggressors = np.stack([self.left_phys, self.right_phys])
             cols = np.concatenate([self.phys[None], np.where(
                 aggressors == NO_NEIGHBOUR, self.phys, aggressors)])
             present = self.context != NO_NEIGHBOUR
-            ptr = np.zeros(len(self) + 1, dtype=np.int64)
-            np.cumsum(present.sum(axis=1), out=ptr[1:])
-            self._layout = (cols, ptr, self.context[present])
-            self._every = self._select(np.arange(len(self)))._replace(
-                cells=slice(None))
+            counts = present.sum(axis=1)
+            self._ptr = np.zeros(len(self) + 1, dtype=np.int64)
+            np.cumsum(counts, out=self._ptr[1:])
+            has_ctx = np.flatnonzero(counts)
+            self._every = VictimSlots(
+                slice(None), cols, self.context[present],
+                np.repeat(np.arange(len(self)), counts),
+                self._ptr[has_ctx], has_ctx)
         if isinstance(cells, slice):
             if cells == slice(None):
                 return self._every
@@ -348,7 +354,7 @@ class CoupledCellPopulation:
 
     def _select(self, idx: np.ndarray) -> "VictimSlots":
         """:meth:`slots` of the victims ``idx`` (an index array)."""
-        cols, ptr, ctx = self._layout
+        ptr, every = self._ptr, self._every
         idx = np.asarray(idx, dtype=np.int64)
         counts = ptr[idx + 1] - ptr[idx]
         ends = np.cumsum(counts)
@@ -357,7 +363,7 @@ class CoupledCellPopulation:
         at = np.arange(int(ends[-1]) if len(ends) else 0)
         at += np.repeat(ptr[idx] - starts, counts)
         has_ctx = np.flatnonzero(counts)
-        return VictimSlots(idx, cols[:, idx], ctx[at],
+        return VictimSlots(idx, every.cols[:, idx], every.ctx[at],
                            np.repeat(np.arange(len(idx)), counts),
                            starts[has_ctx], has_ctx)
 

@@ -44,7 +44,7 @@ class ForcedFlipNoise:
         self.rows = np.asarray(rows, dtype=np.int64)
         self.phys_cols = np.asarray(phys_cols, dtype=np.int64)
 
-    def reseed_coins(self, seed: int) -> None:
+    def reseed_coins(self, coins: np.random.Generator) -> None:
         """No coin stream to reseed (kept for noise-model duck type)."""
 
     def cells(self):
@@ -281,14 +281,11 @@ class DeviceNoiseModel:
         #: retention reads of the bank seen so far (activation clock).
         self.reads = 0
 
-    def reseed_coins(self, seed) -> None:
-        """Restart the coin stream (positions and clock are kept).
-
-        The stream is ``default_rng([seed, COIN_TAG])``; ``seed`` may
-        also be that generator, already built.
-        """
-        self._coin_rng = (seed if isinstance(seed, np.random.Generator)
-                          else np.random.default_rng([int(seed), COIN_TAG]))
+    def reseed_coins(self, coins: np.random.Generator) -> None:
+        """Restart the coin stream from ``coins`` (positions and clock
+        are kept).  A model seeded ``seed`` starts from
+        ``default_rng([seed, COIN_TAG])``."""
+        self._coin_rng = coins
 
     def cells(self) -> Tuple[np.ndarray, np.ndarray]:
         """Ground truth: ``(rows, phys_cols)`` of all injected cells."""
@@ -308,21 +305,25 @@ class DeviceNoiseModel:
         if self.spec.empty or self.reads <= self.spec.active_after:
             return empty, empty
         rng = self._coin_rng
-        rows = np.concatenate([self.vrt_row, self.marginal_row])
-        cols = np.concatenate([self.vrt_phys, self.marginal_phys])
-        if len(rows):
-            # One draw holds the VRT coins, then the marginal ones.
-            coins = rng.random(len(rows))
-            hit = coins < self.spec.marginal_fail_prob
-            n_vrt = len(self.vrt_row)
-            hit[:n_vrt] = coins[:n_vrt] < self.spec.vrt_fail_prob
-            rows, cols = rows[hit], cols[hit]
+        rows_list = []
+        cols_list = []
+        if len(self.vrt_row):
+            hit = rng.random(len(self.vrt_row)) < self.spec.vrt_fail_prob
+            rows_list.append(self.vrt_row[hit])
+            cols_list.append(self.vrt_phys[hit])
+        if len(self.marginal_row):
+            hit = (rng.random(len(self.marginal_row))
+                   < self.spec.marginal_fail_prob)
+            rows_list.append(self.marginal_row[hit])
+            cols_list.append(self.marginal_phys[hit])
         if self.spec.soft_error_rate > 0:
             n_cells = self.n_rows * self.row_bits
             n_soft = rng.poisson(self.spec.soft_error_rate * n_cells)
             if n_soft:
                 flat = rng.integers(0, n_cells, size=n_soft)
-                rows = np.concatenate([rows, flat // self.row_bits])
-                cols = np.concatenate([cols, flat % self.row_bits])
-        return (rows.astype(np.int64, copy=False),
-                cols.astype(np.int64, copy=False))
+                rows_list.append(flat // self.row_bits)
+                cols_list.append(flat % self.row_bits)
+        if not rows_list:
+            return empty, empty
+        return (np.concatenate(rows_list).astype(np.int64),
+                np.concatenate(cols_list).astype(np.int64))

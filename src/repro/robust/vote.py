@@ -84,51 +84,51 @@ def reseed_bank(bank, seed: int, *path) -> None:
     bank draws its own stream and reseeding one bank never touches
     another.
     """
-    _install(bank, np.random.default_rng(ladder_seed(seed, *path)),
-             None if bank.noise is None
-             else ladder_seed(seed, "noise", *path))
-
-
-def _install(bank, g: np.random.Generator, coins) -> None:
-    """Give ``bank`` the stream ``g``, and its noise model ``coins``."""
-    bank._rng = g
-    faults = bank.faults
-    faults._rng = g
-    if len(faults.vrt_leaky):
-        faults.vrt_leaky = (g.random(len(faults.vrt_leaky))
-                            < faults.spec.vrt_leaky_start_fraction)
-    if bank.noise is not None:
-        bank.noise.reseed_coins(coins)
+    bank_reseeds([bank], seed, [path])(0)
 
 
 def bank_reseeds(banks: Sequence, seed: int, paths: Sequence[tuple]):
     """``reseed(i)``: :func:`reseed_bank` ``(banks[i], seed, *paths[i])``.
 
-    Every pair's streams - the bank stream and, for a bank with a
-    noise model, its coin stream - are derived up front in one
-    :func:`~repro.runtime.seeds.stream_words` pass per kind, and
-    ``reseed(i)`` only builds the generators: the same streams as
-    :func:`reseed_bank`'s ``default_rng`` calls, at a fraction of
-    their cost on a batch of waits.
+    The bank stream is ``default_rng(ladder_seed(seed, *path))``; a
+    bank with a noise model also gets the coin stream
+    ``default_rng([ladder_seed(seed, "noise", *path), COIN_TAG])``.
+    Every stream's seeding words are derived up front in one
+    :func:`~repro.runtime.seeds.stream_words` pass, and ``reseed(i)``
+    only builds the generators, so a batch of waits derives its
+    streams at once.
     """
-    words = stream_words([ladder_seed(seed, *p) for p in paths])
     noisy = [i for i, bank in enumerate(banks) if bank.noise is not None]
-    coin_words = dict(zip(noisy, stream_words(
-        [ladder_seed(seed, "noise", *paths[i]) for i in noisy], COIN_TAG)))
+    words = stream_words(
+        [ladder_seed(seed, *p) for p in paths]
+        + [ladder_seed(seed, "noise", *paths[i]) for i in noisy],
+        [0] * len(paths) + [COIN_TAG] * len(noisy))
+    coin_words = dict(zip(noisy, words[len(paths):]))
 
     def reseed(i: int) -> None:
-        coins = coin_words.get(i)
-        _install(banks[i], seeded_stream(words[i]),
-                 None if coins is None else seeded_stream(coins))
+        bank = banks[i]
+        g = seeded_stream(words[i])
+        bank._rng = g
+        faults = bank.faults
+        faults._rng = g
+        if len(faults.vrt_leaky):
+            faults.vrt_leaky = (g.random(len(faults.vrt_leaky))
+                                < faults.spec.vrt_leaky_start_fraction)
+        if bank.noise is not None:
+            bank.noise.reseed_coins(seeded_stream(coin_words[i]))
 
     return reseed
 
 
 def reseed_banks(controllers: Sequence, seed: int, *path) -> None:
     """:func:`reseed_bank` every bank of every chip from one path."""
-    for chip_idx, ctrl in enumerate(controllers):
-        for bank_idx, bank in enumerate(ctrl.chip.banks):
-            reseed_bank(bank, seed, *path, chip_idx, bank_idx)
+    where = [(chip_idx, bank_idx, bank)
+             for chip_idx, ctrl in enumerate(controllers)
+             for bank_idx, bank in enumerate(ctrl.chip.banks)]
+    reseed = bank_reseeds([bank for _, _, bank in where], seed,
+                          [(*path, c, b) for c, b, _ in where])
+    for i in range(len(where)):
+        reseed(i)
 
 
 class VoteLedger:

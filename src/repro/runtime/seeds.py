@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -107,28 +107,29 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _CROSS = [(s, d) for s in range(4) for d in range(4) if s != d]
 
 
-def stream_words(seeds: Sequence[int], tag: Optional[int] = None
-                 ) -> np.ndarray:
+def stream_words(seeds: Sequence[int], tags=0) -> np.ndarray:
     """The PCG64 seeding words of many ``default_rng`` streams at once.
 
-    Row ``i`` equals ``SeedSequence(seeds[i]).generate_state(4,
-    np.uint64)`` - or, with ``tag``, that of ``SeedSequence([seeds[i],
-    tag])`` - for seeds in ``[0, 2**63)`` and a tag under ``2**32``:
+    Row ``i`` equals ``SeedSequence([seeds[i], tags[i]]).generate_state(
+    4, np.uint64)`` for seeds in ``[0, 2**63)`` and tags under ``2**32``
+    (``tags`` is one tag or one per seed).  A zero tag leaves numpy's
+    pool as the bare seed's, so tag 0 is ``SeedSequence(seeds[i])``:
     numpy's entropy mixing over a four-word pool, run on every seed as
-    one array program.  Its cost is about one ``SeedSequence`` per
-    call, so it pays from about ten seeds on.  Returns ``(n, 4)``
+    one array program.  On a 2-vCPU host a pass costs about 90 us
+    whatever the batch and ``SeedSequence`` about 9 us per seed, so a
+    batch of ten or more streams derives faster.  Returns ``(n, 4)``
     ``uint64``.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
+    tags = np.broadcast_to(np.asarray(tags, dtype=np.uint32), seeds.shape)
     pool = np.zeros((4, len(seeds)), dtype=np.uint32)
-    # A seed's entropy words, least significant first.
+    # A seed's entropy words, least significant first, then its tag: a
+    # seed under 2**32 is one entropy word, so the tag moves up.
     pool[0] = seeds & np.uint64(0xFFFFFFFF)
     pool[1] = seeds >> np.uint64(32)
-    if tag is not None:
-        # A seed under 2**32 is one entropy word, so the tag moves up.
-        wide = pool[1] != 0
-        pool[2] = np.where(wide, tag, 0)
-        pool[1][~wide] = tag
+    wide = pool[1] != 0
+    pool[2] = np.where(wide, tags, 0)
+    pool[1] = np.where(wide, pool[1], tags)
     shift = np.uint32(16)
     pool ^= _MIX_HASH[:4, None]
     pool *= _MIX_HASH[1:5, None]
@@ -152,6 +153,10 @@ class _Derived(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 seeds itself from exactly four uint64 words.
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("only PCG64's four uint64 seeding words "
+                             "are known")
         return self.words
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.dram import FaultSpec, RandomFaultModel
-from repro.dram.faults import DeviceNoiseModel, NoiseSpec
+from repro.dram.faults import COIN_TAG, DeviceNoiseModel, NoiseSpec
 from repro.runtime import CampaignSpec, chip_seed, run_fleet
 from repro.runtime.chaos import device_noise_schedule
 
@@ -89,7 +89,7 @@ class TestDeviceNoiseModel:
         model = self.model()
         first = self.noise_stream(model, reads=5)
         cells_before = model.cells()
-        model.reseed_coins(77)
+        model.reseed_coins(np.random.default_rng([77, COIN_TAG]))
         # Positions never move; the coin stream restarts from the
         # reseeded generator, but the activation clock keeps counting.
         assert all((x == y).all()

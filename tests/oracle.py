@@ -97,7 +97,7 @@ from repro.core.victims import CellKeys
 from repro.dram.bank import Bank
 from repro.dram.cells import NO_NEIGHBOUR, CoupledCellPopulation
 from repro.dram.controller import MemoryController
-from repro.dram.faults import ForcedFlipNoise, RandomFaultModel
+from repro.dram.faults import COIN_TAG, ForcedFlipNoise, RandomFaultModel
 from repro.ecc.beer import (COPIES, TARGET_RANK, EccInferenceReport,
                             InferredEcc, _nullspace, _rref,
                             beer_backgrounds)
@@ -741,9 +741,9 @@ def reseed_banks(controllers, seed: int, *path) -> None:
                     g.random(len(faults.vrt_leaky))
                     < faults.spec.vrt_leaky_start_fraction)
             if bank.noise is not None:
-                bank.noise.reseed_coins(
-                    ladder_seed(seed, "noise", *path, chip_idx,
-                                bank_idx))
+                bank.noise.reseed_coins(np.random.default_rng(
+                    [ladder_seed(seed, "noise", *path, chip_idx, bank_idx),
+                     COIN_TAG]))
 
 
 def verdict(verdicts: CellVerdicts, coord: Coord) -> Optional[str]:
